@@ -43,6 +43,11 @@ echo "$formats_out" | grep -q "^relu  *fp4_e2m1  *4  *0 " || {
   echo "formats smoke: relu did not select fp4_e2m1 at proven bound 0"; exit 1; }
 echo "$formats_out" | grep -Eq "[1-9][0-9]* sub-16-bit selection" || {
   echo "formats smoke: no sub-16-bit selection on the roster"; exit 1; }
+# an infinite budget proves nothing: it must be refused, never reported as
+# an unbounded format that "fits"
+if dune exec bin/picachu_cli.exe -- formats softmax --budget inf; then
+  echo "formats smoke: --budget inf was accepted"; exit 1
+fi
 
 echo "== approximation backend smoke =="
 # the Taylor-vs-NLI head-to-head must run end to end (compile both rosters,

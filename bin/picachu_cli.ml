@@ -344,12 +344,20 @@ let formats_cmd =
     let pp_bound b =
       if Float.is_finite b then Printf.sprintf "%.3g" b else "unbounded"
     in
+    (* a budget that is not finite and positive proves nothing: refuse it
+       before printing a table *)
+    let budget =
+      try Precision.resolve_budget budget
+      with Invalid_argument msg ->
+        Printf.eprintf "picachu formats: %s\n" msg;
+        exit 2
+    in
     Printf.printf "%-16s %-10s %5s  %-11s %-9s %s\n" "kernel" "format" "bits"
       "proven" "budget" "status";
     let narrow = ref 0 and fallbacks = ref 0 in
     List.iter
       (fun (k : Kernel.t) ->
-        let c = Compiler.select_format ?budget k in
+        let c = Compiler.select_format ~budget k in
         if c.Precision.fallback then incr fallbacks
         else if Numfmt.bits c.Precision.fmt < 16 then incr narrow;
         Printf.printf "%-16s %-10s %5d  %-11s %-9g %s\n" k.Kernel.name

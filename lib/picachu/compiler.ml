@@ -72,9 +72,9 @@ let () =
    ladder walk shows up in [compile_stats] next to the structural passes:
    how many candidates each selection proved bounds for, and how often the
    budget was missed (a fallback to the best-proven / widest format). *)
-let stage_select_format ?config ?budget ?candidates () =
+let stage_select_format ?budget ?candidates () =
   Pipeline.v ~name:"select-format" (fun k ->
-      let c = Precision.select_format ?config ?budget ?candidates k in
+      let c = Precision.select_format ?budget ?candidates k in
       Pipeline.bump ~pass:"select-format" "candidates-proven"
         (List.length
            (List.filter (fun (_, b) -> Float.is_finite b) c.Precision.tried));
@@ -84,8 +84,8 @@ let stage_select_format ?config ?budget ?candidates () =
         Pipeline.bump ~pass:"select-format" "fallbacks" 1;
       c)
 
-let select_format ?config ?budget ?candidates (k : Kernel.t) =
-  Pipeline.run (stage_select_format ?config ?budget ?candidates ()) k
+let select_format ?budget ?candidates (k : Kernel.t) =
+  Pipeline.run (stage_select_format ?budget ?candidates ()) k
 
 (* ------------------------------------------------------- warm-start hints *)
 

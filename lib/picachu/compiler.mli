@@ -87,7 +87,6 @@ val compile : options -> Kernel.t -> compiled
 (** [compile_result] unwrapped; raises {!Picachu_error.Error} on failure. *)
 
 val select_format :
-  ?config:Picachu_verify.Precision.config ->
   ?budget:float ->
   ?candidates:Picachu_numerics.Numfmt.t list ->
   Kernel.t ->

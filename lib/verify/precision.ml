@@ -2,7 +2,6 @@ module Op = Picachu_ir.Op
 module Instr = Picachu_ir.Instr
 module Kernel = Picachu_ir.Kernel
 module Numfmt = Picachu_numerics.Numfmt
-module Lut = Picachu_numerics.Lut
 module Lut_catalog = Picachu_numerics.Lut_catalog
 
 (* Static precision analysis: abstractly execute a kernel over pairs
@@ -20,21 +19,6 @@ module Lut_catalog = Picachu_numerics.Lut_catalog
    execution involved — soundness is separately enforced by the qcheck
    harness in the test suite, which compares bit-accurate runs against the
    claimed bounds. *)
-
-type config = {
-  stream_ranges : (string * (float * float)) list;
-  default_stream : float * float;
-  default_scalar : float * float;
-  trip_max : int;
-}
-
-let default_config =
-  {
-    stream_ranges = [];
-    default_stream = (-2.0, 2.0);
-    default_scalar = (-2.0, 2.0);
-    trip_max = 1024;
-  }
 
 (* ------------------------------------------------- quantization contract *)
 
@@ -65,8 +49,7 @@ let requantize_exact fmt (op : Op.t) =
 
 let rounder fmt : Kernel.loop -> Instr.t -> float -> float =
  fun loop ->
-  let body = Array.of_list loop.Kernel.body in
-  let skel = Range.skeleton_ids body in
+  let skel = Absint.skeleton_ids (Array.of_list loop.Kernel.body) in
   fun (i : Instr.t) v ->
     if quantized i.Instr.op && not (List.mem i.Instr.id skel) then
       Numfmt.quantize fmt v
@@ -80,22 +63,18 @@ type aval = { av : Affine.t; err : float }
 (* per-instruction joined state across iterations *)
 type cell = { lo : float; hi : float; err : float }
 
-let cell_top = { lo = neg_infinity; hi = infinity; err = infinity }
+let bot = { av = Affine.top; err = infinity }
 
 let cell_of_aval (v : aval) =
   let lo, hi = Affine.interval v.av in
   { lo; hi; err = v.err }
 
-let cell_join a b =
-  { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi; err = Float.max a.err b.err }
-
-let cell_equal a b = a.lo = b.lo && a.hi = b.hi && a.err = b.err
-
-let aval_of_cell cx (c : cell) = { av = Affine.of_interval cx c.lo c.hi; err = c.err }
-
 let ideal_mag av =
   let lo, hi = Affine.interval av in
   Float.max (Float.abs lo) (Float.abs hi)
+
+(* how far a divisor interval provably stays from zero *)
+let zero_distance lo hi = if lo > 0.0 then lo else if hi < 0.0 then -.hi else 0.0
 
 (* outward slack on magnitude/bound comparisons: the analysis itself runs
    in float64 and must not mis-prove by its own last-ulp rounding *)
@@ -103,432 +82,230 @@ let slack = 1e-9
 
 let inflate x = if Float.is_finite x then x *. (1.0 +. slack) else x
 
-(* Lipschitz constants of the shipped LUTs over their clamped domain,
-   from the catalogue (a PWL interpolant's constant is its max segment
-   slope; for "phi" the historical 0.4 bound — sup Phi' = 1/sqrt(2pi)
-   ~ 0.3989 — is preserved exactly) *)
-let lut_lipschitz = Lut_catalog.lipschitz
-
-let lut_interval = Lut_catalog.interval
-
 (* ------------------------------------------------------------ op transfer *)
+
+(* exact-arithmetic binop with error propagation: shared by the data path
+   (which then rounds through [finish]) and the host-side scalar glue *)
+let binop cx (op : Op.binop) a b =
+  match op with
+  | Op.Add -> { av = Affine.add a.av b.av; err = a.err +. b.err }
+  | Op.Sub -> { av = Affine.sub a.av b.av; err = a.err +. b.err }
+  | Op.Mul ->
+      let am = ideal_mag a.av and bm = ideal_mag b.av in
+      {
+        av = Affine.mul a.av b.av;
+        err = (am *. b.err) +. (bm *. a.err) +. (a.err *. b.err);
+      }
+  | Op.Div ->
+      let blo, bhi = Affine.interval b.av in
+      let bmin = zero_distance blo bhi in
+      let bmin_fin = bmin -. b.err in
+      let av = Affine.div cx a.av b.av in
+      if bmin_fin <= 0.0 then { av; err = infinity }
+      else
+        let am = ideal_mag a.av and bm = ideal_mag b.av in
+        { av; err = ((bm *. a.err) +. (am *. b.err)) /. (bmin_fin *. bmin) }
+  | Op.Max | Op.Min ->
+      let alo, ahi = Affine.interval a.av and blo, bhi = Affine.interval b.av in
+      (* domination: when one operand provably wins in both the ideal and
+         the finite run, the result is a copy of it *)
+      let pick_a, pick_b =
+        match op with
+        | Op.Max ->
+            ( alo > bhi && alo -. a.err > bhi +. b.err,
+              blo > ahi && blo -. b.err > ahi +. a.err )
+        | _ ->
+            ( ahi < blo && ahi +. a.err < blo -. b.err,
+              bhi < alo && bhi +. b.err < alo -. a.err )
+      in
+      if pick_a then a
+      else if pick_b then b
+      else
+        let joiner = match op with Op.Max -> Affine.max_ | _ -> Affine.min_ in
+        { av = joiner cx a.av b.av; err = Float.max a.err b.err }
+
+let isqrt cx (a : aval) =
+  let lo, hi = Affine.interval a.av in
+  let av =
+    if hi <= 0.0 then Affine.top
+    else
+      let h = if lo > 0.0 then 1.0 /. sqrt lo else infinity in
+      Affine.of_interval cx (1.0 /. sqrt hi) h
+  in
+  let err =
+    let lmin = lo -. a.err in
+    if lmin > 0.0 then a.err /. (2.0 *. (lmin *. sqrt lmin)) else infinity
+  in
+  { av; err }
 
 (* error of the rounding step appended to a quantized op: zero when the op
    is grid-exact, one quantum at the finite value's magnitude otherwise;
    infinite (no proof) when the finite value may leave the format *)
-let finish fmt op av err =
-  if not (quantized op) then { av; err }
+let finish fmt op v =
+  if not (quantized op) then v
   else
-    let m = ideal_mag av +. err in
+    let m = ideal_mag v.av +. v.err in
     if not (Float.is_finite m) || inflate m > Numfmt.max_value fmt then
-      { av; err = infinity }
+      { v with err = infinity }
     else
       let rnd =
         if requantize_exact fmt op then 0.0 else Numfmt.quantum fmt ~mag:m
       in
-      { av; err = err +. rnd }
+      { v with err = v.err +. rnd }
 
-let eval_body cx fmt (body : Instr.t array) ~lookup_stream ~lookup_scalar
-    ~phi_value =
-  let count = Array.length body in
-  let bot = { av = Affine.top; err = infinity } in
-  let values = Array.make count bot in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let arg k =
-        match List.nth_opt i.Instr.args k with
-        | Some a when a >= 0 && a < count -> values.(a)
-        | _ -> bot
-      in
-      let v =
-        match i.Instr.op with
-        | Op.Const c -> { av = Affine.const c; err = 0.0 }
-        | Op.Input s -> lookup_scalar s
-        | Op.Phi -> phi_value i.Instr.id (arg 0)
-        | Op.Load s -> lookup_stream s
-        | Op.Store _ -> arg 1
-        | Op.Br -> arg 0
-        | Op.Cmp _ ->
-            (* a predicate bit on the control path; Select accounts for the
-               flip risk from its own operands *)
-            { av = Affine.of_interval cx 0.0 1.0; err = 0.0 }
-        | Op.Select ->
-            let t = arg 1 and f = arg 2 in
-            let flip_possible =
-              match List.nth_opt i.Instr.args 0 with
-              | Some c when c >= 0 && c < count -> (
-                  match (body.(c)).Instr.op with
-                  | Op.Cmp _ ->
-                      List.exists
-                        (fun a ->
-                          a < 0 || a >= count || values.(a).err <> 0.0)
-                        (body.(c)).Instr.args
-                  | _ -> values.(c).err <> 0.0)
-              | _ -> true
-            in
-            let err =
-              if not flip_possible then Float.max t.err f.err
-              else
-                (* the two runs may take different branches: pay the
-                   distance between the branch values on top *)
-                let tlo, thi = Affine.interval t.av
-                and flo, fhi = Affine.interval f.av in
-                let w = Float.max thi fhi -. Float.min tlo flo in
-                Float.max t.err f.err +. w
-            in
-            { av = Affine.join cx t.av f.av; err }
-        | Op.Bin op -> (
-            let a = arg 0 and b = arg 1 in
-            match op with
-            | Op.Add -> { av = Affine.add a.av b.av; err = a.err +. b.err }
-            | Op.Sub -> { av = Affine.sub a.av b.av; err = a.err +. b.err }
-            | Op.Mul ->
-                let am = ideal_mag a.av and bm = ideal_mag b.av in
-                {
-                  av = Affine.mul a.av b.av;
-                  err = (am *. b.err) +. (bm *. a.err) +. (a.err *. b.err);
-                }
-            | Op.Div ->
-                let blo, bhi = Affine.interval b.av in
-                let bmin =
-                  if blo > 0.0 then blo else if bhi < 0.0 then -.bhi else 0.0
-                in
-                let bmin_fin = bmin -. b.err in
-                let av = Affine.div cx a.av b.av in
-                if bmin_fin <= 0.0 then { av; err = infinity }
-                else
-                  let am = ideal_mag a.av and bm = ideal_mag b.av in
-                  {
-                    av;
-                    err =
-                      ((bm *. a.err) +. (am *. b.err)) /. (bmin_fin *. bmin);
-                  }
-            | Op.Max | Op.Min ->
-                let alo, ahi = Affine.interval a.av
-                and blo, bhi = Affine.interval b.av in
-                (* domination: when one operand provably wins in both the
-                   ideal and the finite run, the result is a copy of it *)
-                let pick_a, pick_b =
-                  match op with
-                  | Op.Max ->
-                      ( alo > bhi && alo -. a.err > bhi +. b.err,
-                        blo > ahi && blo -. b.err > ahi +. a.err )
-                  | _ ->
-                      ( ahi < blo && ahi +. a.err < blo -. b.err,
-                        bhi < alo && bhi +. b.err < alo -. a.err )
-                in
-                if pick_a then a
-                else if pick_b then b
-                else
-                  let joiner =
-                    match op with Op.Max -> Affine.max_ | _ -> Affine.min_
-                  in
-                  { av = joiner cx a.av b.av; err = Float.max a.err b.err })
-        | Op.Un Op.Neg -> { av = Affine.neg (arg 0).av; err = (arg 0).err }
-        | Op.Un Op.Abs -> { av = Affine.abs cx (arg 0).av; err = (arg 0).err }
-        | Op.Un Op.Floor ->
-            let a = arg 0 in
-            let err = if a.err = 0.0 then 0.0 else a.err +. 1.0 in
-            { av = Affine.floor cx a.av; err }
-        | Op.Fp2fx_int ->
-            let a = arg 0 in
-            let err = if a.err = 0.0 then 0.0 else a.err +. 1.0 in
-            { av = Affine.floor cx a.av; err }
-        | Op.Fp2fx_frac ->
-            let a = arg 0 in
-            (* both fractional parts live in [0, 1), so the split
-               discontinuity costs at most 1 *)
-            let err =
-              if a.err = 0.0 then 0.0 else Float.min (a.err +. 1.0) 1.0
-            in
-            { av = Affine.of_interval cx 0.0 1.0; err }
-        | Op.Shift_exp ->
-            let a = arg 0 and e = arg 1 in
-            let alo, ahi = Affine.interval a.av
-            and elo, ehi = Affine.interval e.av in
-            let clamp v = Float.max (-150.0) (Float.min 129.0 v) in
-            let av =
-              if Float.is_finite elo && Float.is_finite ehi then
-                let p_lo =
-                  Float.ldexp 1.0
-                    (int_of_float (Float.floor (clamp (elo -. 0.5))))
-                and p_hi =
-                  Float.ldexp 1.0
-                    (int_of_float (Float.ceil (clamp (ehi +. 0.5))))
-                in
-                let cands =
-                  [ alo *. p_lo; alo *. p_hi; ahi *. p_lo; ahi *. p_hi ]
-                in
-                Affine.of_interval cx
-                  (List.fold_left Float.min infinity cands)
-                  (List.fold_left Float.max neg_infinity cands)
-              else Affine.top
-            in
-            let err =
-              if Float.is_finite e.err && Float.is_finite ehi then
-                let k =
-                  if e.err = 0.0 then 0
-                  else Stdlib.min 64 (int_of_float (Float.floor e.err) + 1)
-                in
-                let k_hi = int_of_float (Float.ceil (clamp (ehi +. 0.5))) in
-                let pow = Float.ldexp 1.0 k_hi in
-                (a.err *. Float.ldexp pow k)
-                +. (ideal_mag a.av *. pow *. (Float.ldexp 1.0 k -. 1.0))
-              else infinity
-            in
-            { av; err }
-        | Op.Lut name ->
-            let a = arg 0 in
-            let alo, ahi = Affine.interval a.av in
-            let av =
-              if Float.is_finite alo && Float.is_finite ahi then
-                let lo, hi = lut_interval name alo ahi in
-                Affine.of_interval cx lo hi
-              else Affine.top
-            in
-            let err =
-              match lut_lipschitz name with
-              | Some l -> l *. a.err
-              | None -> infinity
-            in
-            { av; err }
-        | Op.Fused _ -> bot
-      in
-      values.(i.Instr.id) <- finish fmt i.Instr.op v.av v.err)
-    body;
-  values
+type ctx = { cx : Affine.ctx; fmt : Numfmt.t }
 
-(* -------------------------------------------------------- scalar pre-glue *)
-
-(* the between-loop scalar glue runs on the host float64 path: errors from
-   exported scalars propagate, but no rounding is added *)
-let eval_sexpr_aval cx scalars e : aval =
-  let rec go = function
-    | Kernel.Svar s -> (
-        match List.assoc_opt s scalars with
-        | Some c -> aval_of_cell cx c
-        | None -> { av = Affine.top; err = infinity })
-    | Kernel.Sconst v -> { av = Affine.const v; err = 0.0 }
-    | Kernel.Sbin (op, x, y) -> (
-        let a = go x and b = go y in
-        match op with
-        | Op.Add -> { av = Affine.add a.av b.av; err = a.err +. b.err }
-        | Op.Sub -> { av = Affine.sub a.av b.av; err = a.err +. b.err }
-        | Op.Mul ->
-            {
-              av = Affine.mul a.av b.av;
-              err =
-                (ideal_mag a.av *. b.err)
-                +. (ideal_mag b.av *. a.err)
-                +. (a.err *. b.err);
-            }
-        | Op.Div ->
-            let blo, bhi = Affine.interval b.av in
-            let bmin =
-              if blo > 0.0 then blo else if bhi < 0.0 then -.bhi else 0.0
-            in
-            let bmin_fin = bmin -. b.err in
-            let av = Affine.div cx a.av b.av in
-            if bmin_fin <= 0.0 then { av; err = infinity }
-            else
-              {
-                av;
-                err =
-                  ((ideal_mag b.av *. a.err) +. (ideal_mag a.av *. b.err))
-                  /. (bmin_fin *. bmin);
-              }
-        | Op.Max ->
-            {
-              av = Affine.max_ cx a.av b.av;
-              err = Float.max a.err b.err;
-            }
-        | Op.Min ->
-            {
-              av = Affine.min_ cx a.av b.av;
-              err = Float.max a.err b.err;
-            })
-    | Kernel.Sisqrt x ->
-        let a = go x in
-        let lo, hi = Affine.interval a.av in
-        let av =
-          if hi <= 0.0 then Affine.top
-          else
-            let h = if lo > 0.0 then 1.0 /. sqrt lo else infinity in
-            Affine.of_interval cx (1.0 /. sqrt hi) h
+let transfer { cx; fmt } ~(body : Instr.t array) ~(value : int -> aval)
+    (i : Instr.t) ~(arg : int -> aval) =
+  let v =
+    match i.Instr.op with
+    | Op.Cmp _ ->
+        (* a predicate bit on the control path; Select accounts for the
+           flip risk from its own operands *)
+        { av = Affine.of_interval cx 0.0 1.0; err = 0.0 }
+    | Op.Select ->
+        let t = arg 1 and f = arg 2 in
+        let flip_possible =
+          match List.nth_opt i.Instr.args 0 with
+          | Some c when c >= 0 && c < Array.length body -> (
+              match body.(c).Instr.op with
+              | Op.Cmp _ ->
+                  List.exists (fun a -> (value a).err <> 0.0) body.(c).Instr.args
+              | _ -> (value c).err <> 0.0)
+          | _ -> true
         in
         let err =
-          let lmin = lo -. a.err in
-          if lmin > 0.0 then a.err /. (2.0 *. (lmin *. sqrt lmin))
+          if not flip_possible then Float.max t.err f.err
+          else
+            (* the two runs may take different branches: pay the distance
+               between the branch values on top *)
+            let tlo, thi = Affine.interval t.av and flo, fhi = Affine.interval f.av in
+            let w = Float.max thi fhi -. Float.min tlo flo in
+            Float.max t.err f.err +. w
+        in
+        { av = Affine.join cx t.av f.av; err }
+    | Op.Bin op -> binop cx op (arg 0) (arg 1)
+    | Op.Un Op.Neg -> { av = Affine.neg (arg 0).av; err = (arg 0).err }
+    | Op.Un Op.Abs -> { av = Affine.abs cx (arg 0).av; err = (arg 0).err }
+    | Op.Un Op.Floor | Op.Fp2fx_int ->
+        let a = arg 0 in
+        let err = if a.err = 0.0 then 0.0 else a.err +. 1.0 in
+        { av = Affine.floor cx a.av; err }
+    | Op.Fp2fx_frac ->
+        let a = arg 0 in
+        (* both fractional parts live in [0, 1), so the split discontinuity
+           costs at most 1 *)
+        let err = if a.err = 0.0 then 0.0 else Float.min (a.err +. 1.0) 1.0 in
+        { av = Affine.of_interval cx 0.0 1.0; err }
+    | Op.Shift_exp ->
+        let a = arg 0 and e = arg 1 in
+        let alo, ahi = Affine.interval a.av and elo, ehi = Affine.interval e.av in
+        let p_lo, p_hi = Absint.shift_exp_pow elo ehi in
+        let av =
+          if Float.is_finite elo && Float.is_finite ehi then
+            let cands = [ alo *. p_lo; alo *. p_hi; ahi *. p_lo; ahi *. p_hi ] in
+            Affine.of_interval cx
+              (List.fold_left Float.min infinity cands)
+              (List.fold_left Float.max neg_infinity cands)
+          else Affine.top
+        in
+        let err =
+          if Float.is_finite e.err && Float.is_finite ehi then
+            let k =
+              if e.err = 0.0 then 0
+              else Stdlib.min 64 (int_of_float (Float.floor e.err) + 1)
+            in
+            (a.err *. Float.ldexp p_hi k)
+            +. (ideal_mag a.av *. p_hi *. (Float.ldexp 1.0 k -. 1.0))
           else infinity
         in
         { av; err }
+    | Op.Lut name ->
+        let a = arg 0 in
+        let alo, ahi = Affine.interval a.av in
+        let av =
+          if Float.is_finite alo && Float.is_finite ahi then
+            let lo, hi = Lut_catalog.interval name alo ahi in
+            Affine.of_interval cx lo hi
+          else Affine.top
+        in
+        let err =
+          match Lut_catalog.lipschitz name with
+          | Some l -> l *. a.err
+          | None -> infinity
+        in
+        { av; err }
+    | _ -> bot (* structural ops: evaluated by the driver *)
   in
-  go e
-
-(* ----------------------------------------------------------- loop analysis *)
-
-let analyze_loop cfg ~cx ~fmt ~streams ~scalars (loop : Kernel.loop) =
-  let body = Array.of_list loop.Kernel.body in
-  let count = Array.length body in
-  let scalars = ref scalars in
-  (match Range.skeleton_ids body with
-  | _ :: _ :: _ :: bound_id :: _ when bound_id >= 0 && bound_id < count -> (
-      match (body.(bound_id)).Instr.op with
-      | Op.Input s ->
-          scalars :=
-            (s, { lo = 1.0; hi = float_of_int cfg.trip_max; err = 0.0 })
-            :: !scalars
-      | _ -> ())
-  | _ -> ());
-  List.iter
-    (fun (name, e) ->
-      scalars := (name, cell_of_aval (eval_sexpr_aval cx !scalars e)) :: !scalars)
-    loop.Kernel.pre;
-  let input_stream_cell s =
-    let lo, hi =
-      match List.assoc_opt s cfg.stream_ranges with
-      | Some r -> r
-      | None -> cfg.default_stream
-    in
-    (* quantizing an in-range input can round it just past the configured
-       range: widen by one quantum (saturation caps it at the format max) *)
-    let q = Numfmt.quantum fmt ~mag:(Float.max (Float.abs lo) (Float.abs hi)) in
-    let mx = Numfmt.max_value fmt in
-    {
-      lo = Float.max (lo -. q) (-.mx);
-      hi = Float.min (hi +. q) mx;
-      err = 0.0;
-    }
-  in
-  let lookup_stream s =
-    let c =
-      match Hashtbl.find_opt streams s with
-      | Some c -> c
-      | None -> input_stream_cell s
-    in
-    aval_of_cell cx c
-  in
-  let lookup_scalar s =
-    let c =
-      match List.assoc_opt s !scalars with
-      | Some c -> c
-      | None ->
-          let lo, hi =
-            match List.assoc_opt s cfg.stream_ranges with
-            | Some r -> r
-            | None -> cfg.default_scalar
-          in
-          { lo; hi; err = 0.0 }
-    in
-    aval_of_cell cx c
-  in
-  let state = ref (Array.make count cell_top) in
-  let first = ref true in
-  let phi_value id (init : aval) =
-    if !first then init
-    else
-      let s = !state in
-      let carried =
-        match (body.(id)).Instr.args with
-        | [ _; next ] when next >= 0 && next < count -> s.(next)
-        | _ -> cell_top
-      in
-      aval_of_cell cx
-        (cell_join (cell_of_aval init) (cell_join s.(id) carried))
-  in
-  let run_iteration () =
-    let values =
-      eval_body cx fmt body ~lookup_stream ~lookup_scalar ~phi_value
-    in
-    let cells = Array.map cell_of_aval values in
-    let joined =
-      if !first then cells
-      else Array.mapi (fun i c -> cell_join (!state).(i) c) cells
-    in
-    let stable = (not !first) && Array.for_all2 cell_equal !state joined in
-    first := false;
-    state := joined;
-    stable
-  in
-  let iters = ref 0 in
-  let stable = ref false in
-  while (not !stable) && !iters <= cfg.trip_max do
-    stable := run_iteration ();
-    incr iters
-  done;
-  let cells = !state in
-  Array.iter
-    (fun (i : Instr.t) ->
-      match i.Instr.op with
-      | Op.Store s ->
-          let c = cells.(i.Instr.id) in
-          let c =
-            match Hashtbl.find_opt streams s with
-            | Some old -> cell_join old c
-            | None -> c
-          in
-          Hashtbl.replace streams s c
-      | _ -> ())
-    body;
-  let exports =
-    List.map (fun (name, id) -> (name, cells.(id))) loop.Kernel.exports
-  in
-  (cells, exports @ !scalars)
+  finish fmt i.Instr.op v
 
 (* ------------------------------------------------------------------ findings *)
 
-let loop_findings fmt ~kernel (loop : Kernel.loop) (cells : cell array) =
-  let body = Array.of_list loop.Kernel.body in
-  let skeleton = Range.skeleton_ids body in
-  let mx = Numfmt.max_value fmt in
-  let fs = ref [] in
-  let add sev ~node code f =
-    Printf.ksprintf
-      (fun m ->
-        fs :=
-          Finding.make ~kernel ~loop:loop.Kernel.label ~node
-            Finding.Precision_check sev ~code "%s" m
-          :: !fs)
-      f
-  in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let id = i.Instr.id in
-      if (not (List.mem id skeleton)) && quantized i.Instr.op then begin
-        let c = cells.(id) in
-        (match i.Instr.op with
-        | Op.Bin Op.Div -> (
-            match List.nth_opt i.Instr.args 1 with
-            | Some a when a >= 0 && a < Array.length cells ->
-                let d = cells.(a) in
-                let bmin =
-                  if d.lo > 0.0 then d.lo
-                  else if d.hi < 0.0 then -.d.hi
-                  else 0.0
-                in
-                if bmin > 0.0 && bmin <= d.err then
-                  add Finding.Warning ~node:id "prec-div-error"
-                    "divisor stays %g from zero but carries error %g" bmin
-                    d.err
-            | _ -> ())
-        | _ -> ());
-        if
-          not
-            (Float.is_finite c.lo && Float.is_finite c.hi
-           && Float.is_finite c.err)
-        then
-          add Finding.Warning ~node:id "prec-unbounded"
-            "%s has no finite error bound under %s (value [%g, %g], error %g)"
-            (Op.name i.Instr.op) (Numfmt.name fmt) c.lo c.hi c.err
-        else if
-          inflate (Float.max (Float.abs c.lo) (Float.abs c.hi) +. c.err) > mx
-        then
-          add Finding.Warning ~node:id "prec-overflow"
-            "%s range [%g, %g] (+error %g) exceeds %s max %g"
-            (Op.name i.Instr.op) c.lo c.hi c.err (Numfmt.name fmt) mx
-      end)
-    body;
-  List.rev !fs
+let check { fmt; _ } (cells : cell array) (i : Instr.t) =
+  if not (quantized i.Instr.op) then []
+  else
+    let c = cells.(i.Instr.id) in
+    let name = Op.name i.Instr.op in
+    let div =
+      match (i.Instr.op, List.nth_opt i.Instr.args 1) with
+      | Op.Bin Op.Div, Some a when a >= 0 && a < Array.length cells ->
+          let d = cells.(a) in
+          let bmin = zero_distance d.lo d.hi in
+          if bmin > 0.0 && bmin <= d.err then
+            Absint.report Finding.Warning "prec-div-error"
+              "divisor stays %g from zero but carries error %g" bmin d.err
+          else []
+      | _ -> []
+    in
+    let mx = Numfmt.max_value fmt in
+    let fits =
+      if not (Float.is_finite c.lo && Float.is_finite c.hi && Float.is_finite c.err)
+      then
+        Absint.report Finding.Warning "prec-unbounded"
+          "%s has no finite error bound under %s (value [%g, %g], error %g)" name
+          (Numfmt.name fmt) c.lo c.hi c.err
+      else if inflate (Float.max (Float.abs c.lo) (Float.abs c.hi) +. c.err) > mx
+      then
+        Absint.report Finding.Warning "prec-overflow"
+          "%s range [%g, %g] (+error %g) exceeds %s max %g" name c.lo c.hi c.err
+          (Numfmt.name fmt) mx
+      else []
+    in
+    div @ fits
+
+(* ------------------------------------------------------------ the domain *)
+
+module Run = Absint.Make (struct
+  type nonrec ctx = ctx
+  type value = aval
+  type nonrec cell = cell
+
+  let pass = Finding.Precision_check
+  let top = bot
+  let const c = { av = Affine.const c; err = 0.0 }
+  let binop { cx; _ } = binop cx
+  let isqrt { cx; _ } = isqrt cx
+  let to_cell = cell_of_aval
+  let of_cell { cx; _ } (c : cell) = { av = Affine.of_interval cx c.lo c.hi; err = c.err }
+
+  let join a b =
+    { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi; err = Float.max a.err b.err }
+
+  let equal a b = a.lo = b.lo && a.hi = b.hi && a.err = b.err
+
+  let input { fmt; _ } (kind : Absint.input) lo hi =
+    match kind with
+    | Absint.Scalar -> { lo; hi; err = 0.0 }
+    | Absint.Stream ->
+        (* quantizing an in-range input can round it just past the range:
+           widen by one quantum (saturation caps it at the format max) *)
+        let q = Numfmt.quantum fmt ~mag:(Float.max (Float.abs lo) (Float.abs hi)) in
+        let mx = Numfmt.max_value fmt in
+        { lo = Float.max (lo -. q) (-.mx); hi = Float.min (hi +. q) mx; err = 0.0 }
+
+  let transfer = transfer
+  let check = check
+end)
 
 (* ------------------------------------------------------------------ results *)
 
@@ -539,29 +316,13 @@ type result = {
   outputs : (string * (float * float) * float) list;
 }
 
-let analyze ?(config = default_config) ~fmt (k : Kernel.t) =
-  let cx = Affine.ctx () in
-  let streams = Hashtbl.create 8 in
-  let _, findings =
-    List.fold_left
-      (fun (scalars, acc) loop ->
-        let cells, scalars' =
-          analyze_loop config ~cx ~fmt ~streams ~scalars loop
-        in
-        let fs = loop_findings fmt ~kernel:k.Kernel.name loop cells in
-        (scalars', acc @ fs))
-      ([], []) k.Kernel.loops
-  in
+let analyze ~fmt (k : Kernel.t) =
+  let findings, stored = Run.analyze { cx = Affine.ctx (); fmt } k in
   let outputs =
-    Hashtbl.fold (fun s (c : cell) acc -> (s, (c.lo, c.hi), inflate c.err) :: acc) streams []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+    List.map (fun (s, (c : cell)) -> (s, (c.lo, c.hi), inflate c.err)) stored
   in
-  let bound =
-    List.fold_left (fun b (_, _, e) -> Float.max b e) 0.0 outputs
-  in
+  let bound = List.fold_left (fun b (_, _, e) -> Float.max b e) 0.0 outputs in
   { fmt; bound; findings; outputs }
-
-let proven ?config ~fmt k = Float.is_finite (analyze ?config ~fmt k).bound
 
 (* ------------------------------------------------------- format selection *)
 
@@ -576,15 +337,22 @@ type choice = {
 
 let default_budget () =
   match Sys.getenv_opt "PICACHU_ERROR_BUDGET" with
-  | Some s -> ( match float_of_string_opt s with Some b when b > 0.0 -> b | _ -> 1e-2)
   | None -> 1e-2
+  | Some s -> (
+      match float_of_string_opt (String.trim s) with
+      | Some b when Float.is_finite b && b > 0.0 -> b
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "PICACHU_ERROR_BUDGET: expected a finite positive float, got %S" s))
 
-let select_format ?config ?budget ?(candidates = Numfmt.catalogue)
-    (k : Kernel.t) =
-  let budget = match budget with Some b -> b | None -> default_budget () in
-  let tried =
-    List.map (fun f -> (f, (analyze ?config ~fmt:f k).bound)) candidates
-  in
+let resolve_budget budget =
+  let b = match budget with Some b -> b | None -> default_budget () in
+  if Float.is_finite b && b > 0.0 then b
+  else invalid_arg (Printf.sprintf "error budget must be finite and positive, got %g" b)
+
+let select_format ?budget ?(candidates = Numfmt.catalogue) (k : Kernel.t) =
+  let budget = resolve_budget budget in
+  let tried = List.map (fun f -> (f, (analyze ~fmt:f k).bound)) candidates in
   match List.find_opt (fun (_, b) -> b <= budget) tried with
   | Some (fmt, bound) ->
       { kernel = k.Kernel.name; budget; fmt; bound; fallback = false; tried }

@@ -5,10 +5,11 @@
     (the dataflow evaluated in exact real arithmetic on the same quantized
     inputs) and an error radius bounding [|finite - ideal|] for a machine
     that rounds every computed data-path result through a {!Numfmt} format.
-    Loops iterate to a trip-bounded accumulating-join fixpoint exactly like
-    {!Range}; every quantized op contributes one fresh rounding quantum at
-    its proven magnitude, and an op whose finite value may leave the format
-    loses its bound (reported as [prec-overflow] / [prec-unbounded]).
+    Loops run through the same {!Absint} driver as {!Range} (inputs in
+    [[-2, 2]], trip-bounded accumulating-join fixpoint); every quantized
+    op contributes one fresh rounding quantum at its proven magnitude, and
+    an op whose finite value may leave the format loses its bound
+    (reported as [prec-overflow] / [prec-unbounded]).
 
     The per-kernel {!result.bound} is a *guaranteed* worst-case output
     error — no execution involved; the qcheck soundness harness in the test
@@ -19,27 +20,12 @@
 
 module Numfmt = Picachu_numerics.Numfmt
 
-type config = {
-  stream_ranges : (string * (float * float)) list;
-  default_stream : float * float;
-  default_scalar : float * float;
-  trip_max : int;
-}
-
-val default_config : config
-(** Activations in [[-2, 2]], trips up to 1024 — aligned with
-    {!Range.default_config}. *)
-
-val quantized : Picachu_ir.Op.t -> bool
-(** Whether the finite machine rounds this op's result through the lane
-    format (computed data-path values; pass-through/control/config ops do
-    not re-round). *)
-
 val rounder :
   Numfmt.t -> Picachu_ir.Kernel.loop -> Picachu_ir.Instr.t -> float -> float
 (** The bit-accurate execution model as an {!Picachu_ir.Interp} rounding
     hook: quantizes exactly the instruction results the analyzer charges a
-    rounding quantum for (skeleton excluded).  Partially apply per loop. *)
+    rounding quantum for ({!Absint.skeleton_ids} excluded).  Partially
+    apply per loop. *)
 
 type result = {
   fmt : Numfmt.t;
@@ -51,11 +37,7 @@ type result = {
       (** per stored stream: ideal value interval and proven error bound *)
 }
 
-val analyze : ?config:config -> fmt:Numfmt.t -> Picachu_ir.Kernel.t -> result
-
-val proven : ?config:config -> fmt:Numfmt.t -> Picachu_ir.Kernel.t -> bool
-(** Whether every output of the kernel has a finite proven error bound
-    under the format. *)
+val analyze : fmt:Numfmt.t -> Picachu_ir.Kernel.t -> result
 
 type choice = {
   kernel : string;
@@ -67,10 +49,15 @@ type choice = {
 }
 
 val default_budget : unit -> float
-(** [PICACHU_ERROR_BUDGET] when set to a positive float, else [1e-2]. *)
+(** [PICACHU_ERROR_BUDGET] when set, else [1e-2].  Raises
+    [Invalid_argument] naming the variable when it is set but not a finite
+    positive float. *)
+
+val resolve_budget : float option -> float
+(** The given budget, else {!default_budget}; raises [Invalid_argument]
+    unless it is finite and positive. *)
 
 val select_format :
-  ?config:config ->
   ?budget:float ->
   ?candidates:Numfmt.t list ->
   Picachu_ir.Kernel.t ->
@@ -78,4 +65,4 @@ val select_format :
 (** Walk [candidates] (default {!Numfmt.catalogue}, cheapest first) and
     choose the first whose proven bound is within the budget; otherwise
     fall back to the best-proven (or widest) candidate with
-    [fallback = true]. *)
+    [fallback = true].  The budget goes through {!resolve_budget}. *)

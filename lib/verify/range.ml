@@ -1,8 +1,6 @@
 module Op = Picachu_ir.Op
 module Instr = Picachu_ir.Instr
-module Kernel = Picachu_ir.Kernel
 module Fx = Picachu_numerics.Fixed_point
-module Lut = Picachu_numerics.Lut
 module Lut_catalog = Picachu_numerics.Lut_catalog
 
 (* ----------------------------------------------------------- interval domain *)
@@ -78,77 +76,15 @@ let binop_i (op : Op.binop) a b =
   | Op.Max -> max_i a b
   | Op.Min -> min_i a b
 
-(* ldexp over an interval: 2^round(e) with the exponent clamped to the FP32
-   field the FP2FX unit produces *)
+let isqrt_i i =
+  if i.hi <= 0.0 then top
+  else
+    let hi = if i.lo > 0.0 then 1.0 /. sqrt i.lo else infinity in
+    guard { lo = 1.0 /. sqrt i.hi; hi }
+
 let shift_exp_i a e =
-  let clamp v = Float.max (-150.0) (Float.min 129.0 v) in
-  let p_lo = Float.ldexp 1.0 (int_of_float (Float.floor (clamp (e.lo -. 0.5)))) in
-  let p_hi = Float.ldexp 1.0 (int_of_float (Float.ceil (clamp (e.hi +. 0.5)))) in
+  let p_lo, p_hi = Absint.shift_exp_pow e.lo e.hi in
   mul_i a (make p_lo p_hi)
-
-(* --------------------------------------------------------------- configuration *)
-
-type config = {
-  fmt : Fx.fmt;
-  stream_ranges : (string * (float * float)) list;
-  default_stream : float * float;
-  default_scalar : float * float;
-  trip_max : int;
-}
-
-let default_config =
-  {
-    (* dynamic fixed point with a Q8.8 view of the INT16 lane: 8 integer
-       bits of headroom above the unit-interval activations *)
-    fmt = Fx.fmt ~total_bits:16 ~frac_bits:8;
-    stream_ranges = [];
-    default_stream = (-2.0, 2.0);
-    default_scalar = (-2.0, 2.0);
-    trip_max = 1024;
-  }
-
-let fx_bounds fmt =
-  (Fx.to_float fmt (Fx.min_int_value fmt), Fx.to_float fmt (Fx.max_int_value fmt))
-
-(* --------------------------------------------------------- abstract execution *)
-
-let eval_sexpr scalars e =
-  let rec go = function
-    | Kernel.Svar s -> ( match List.assoc_opt s scalars with Some i -> i | None -> top)
-    | Kernel.Sconst v -> point v
-    | Kernel.Sbin (op, a, b) -> binop_i op (go a) (go b)
-    | Kernel.Sisqrt e ->
-        let i = go e in
-        if i.hi <= 0.0 then top
-        else
-          let hi = if i.lo > 0.0 then 1.0 /. sqrt i.lo else infinity in
-          guard { lo = 1.0 /. sqrt i.hi; hi }
-  in
-  go e
-
-(* The loop-control skeleton (induction phi, its increment, the bound
-   compare, the branch and the trip-count register) lives on the integer
-   control path of the BrT tiles, not the fixed-point data path; exclude it
-   from format checks.  Derived independently of [Transform.find_skeleton]. *)
-let skeleton_ids (body : Instr.t array) =
-  match
-    Array.find_opt (fun (i : Instr.t) -> i.Instr.op = Op.Br) body
-  with
-  | None -> []
-  | Some br -> (
-      match br.Instr.args with
-      | [ cmp_id ] when cmp_id >= 0 && cmp_id < Array.length body -> (
-          let cmp = body.(cmp_id) in
-          match cmp.Instr.args with
-          | [ iv_add_id; bound_id ]
-            when iv_add_id >= 0 && iv_add_id < Array.length body -> (
-              let iv_add = body.(iv_add_id) in
-              match iv_add.Instr.args with
-              | iv_phi_id :: _ ->
-                  [ br.Instr.id; cmp_id; iv_add_id; bound_id; iv_phi_id ]
-              | [] -> [ br.Instr.id; cmp_id; iv_add_id; bound_id ])
-          | _ -> [ br.Instr.id; cmp_id ])
-      | _ -> [ br.Instr.id ])
 
 let lut_i name a =
   if Lut_catalog.known name then
@@ -158,214 +94,93 @@ let lut_i name a =
     guard (make lo hi)
   else top
 
-(* One abstract iteration of the loop body.  [phi_value] supplies the value
-   a phi observes this iteration. *)
-let eval_body (body : Instr.t array) ~lookup_stream ~lookup_scalar ~phi_value =
-  let count = Array.length body in
-  let values = Array.make count top in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let arg k =
-        match List.nth_opt i.Instr.args k with
-        | Some a when a >= 0 && a < count -> values.(a)
-        | _ -> top
-      in
-      let v =
-        match i.Instr.op with
-        | Op.Const c -> point c
-        | Op.Input s -> lookup_scalar s
-        | Op.Phi -> phi_value i.Instr.id (arg 0)
-        | Op.Bin op -> binop_i op (arg 0) (arg 1)
-        | Op.Un Op.Neg -> neg_i (arg 0)
-        | Op.Un Op.Abs -> abs_i (arg 0)
-        | Op.Un Op.Floor -> floor_i (arg 0)
-        | Op.Cmp _ -> make 0.0 1.0
-        | Op.Select -> join (arg 1) (arg 2)
-        | Op.Load s -> lookup_stream s
-        | Op.Store _ -> arg 1
-        | Op.Fp2fx_int -> floor_i (arg 0)
-        | Op.Fp2fx_frac -> make 0.0 1.0
-        | Op.Shift_exp -> shift_exp_i (arg 0) (arg 1)
-        | Op.Lut name -> lut_i name (arg 0)
-        | Op.Br -> arg 0
-        | Op.Fused _ -> top
-      in
-      values.(i.Instr.id) <- v)
-    body;
-  values
+let fx_bounds fmt =
+  (Fx.to_float fmt (Fx.min_int_value fmt), Fx.to_float fmt (Fx.max_int_value fmt))
 
-(* Abstract execution of one loop.  The transfer function is iterated with
-   accumulating joins until it stabilizes or [trip_max] rounds have run.
-   Because every concrete execution performs at most [trip_max] iterations
-   (the trip count is bounded by configuration), the joined state after
-   round k soundly covers every concrete run of up to k trips — so stopping
-   at the cap needs no widening heuristics and the result is still a sound
-   invariant.  Monotone accumulators (reduction sums) simply walk to their
-   trip-bounded extreme; multiplicative blowups walk to infinity and get
-   flagged as unbounded. *)
-let analyze_loop cfg ~streams ~scalars (loop : Kernel.loop) =
-  let body = Array.of_list loop.Kernel.body in
-  let count = Array.length body in
-  let scalars = ref scalars in
-  (* the trip-count scalar (the branch bound) is a positive element count *)
-  (match skeleton_ids body with
-  | _ :: _ :: _ :: bound_id :: _ when bound_id >= 0 && bound_id < count -> (
-      match (body.(bound_id)).Instr.op with
-      | Op.Input s -> scalars := (s, make 1.0 (float_of_int cfg.trip_max)) :: !scalars
-      | _ -> ())
-  | _ -> ());
-  List.iter
-    (fun (name, e) -> scalars := (name, eval_sexpr !scalars e) :: !scalars)
-    loop.Kernel.pre;
-  let lookup_stream s =
-    match Hashtbl.find_opt streams s with
-    | Some i -> i
-    | None ->
-        let lo, hi =
-          match List.assoc_opt s cfg.stream_ranges with
-          | Some r -> r
-          | None -> cfg.default_stream
-        in
-        make lo hi
-  in
-  let lookup_scalar s =
-    match List.assoc_opt s !scalars with
-    | Some i -> i
-    | None ->
-        let lo, hi =
-          match List.assoc_opt s cfg.stream_ranges with
-          | Some r -> r
-          | None -> cfg.default_scalar
-        in
-        make lo hi
-  in
-  let prev = ref None in
-  let phi_value id init =
-    match !prev with
-    | None -> init
-    | Some (p : itv array) ->
-        let carried =
-          match (body.(id)).Instr.args with
-          | [ _; next ] when next >= 0 && next < count -> p.(next)
-          | _ -> top
-        in
-        join init (join p.(id) carried)
-  in
-  let state = ref (Array.make count top) in
-  let run_iteration () =
-    let values = eval_body body ~lookup_stream ~lookup_scalar ~phi_value in
-    let joined =
-      match !prev with
-      | None -> values
-      | Some p -> Array.mapi (fun i v -> join p.(i) v) values
-    in
-    let stable = match !prev with Some p -> Array.for_all2 equal p joined | None -> false in
-    prev := Some joined;
-    state := joined;
-    stable
-  in
-  let iters = ref 0 in
-  let stable = ref false in
-  while (not !stable) && !iters <= cfg.trip_max do
-    stable := run_iteration ();
-    incr iters
-  done;
-  let values = !state in
-  (* record stores and exports for downstream loops *)
-  Array.iter
-    (fun (i : Instr.t) ->
-      match i.Instr.op with
-      | Op.Store s ->
-          let v = values.(i.Instr.id) in
-          let v =
-            match Hashtbl.find_opt streams s with Some old -> join old v | None -> v
-          in
-          Hashtbl.replace streams s v
-      | _ -> ())
-    body;
-  let exports =
-    List.map (fun (name, id) -> (name, values.(id))) loop.Kernel.exports
-  in
-  (values, exports @ !scalars)
+(* ------------------------------------------------------------ the domain *)
 
-(* ------------------------------------------------------------------ findings *)
+module Domain = struct
+  type ctx = Fx.fmt (* the checked Q format *)
+  type value = itv
+  type cell = itv
 
-let loop_findings cfg ~kernel (loop : Kernel.loop) (values : itv array) =
-  let body = Array.of_list loop.Kernel.body in
-  let skeleton = skeleton_ids body in
-  let fx_lo, fx_hi = fx_bounds cfg.fmt in
-  let step = Fx.to_float cfg.fmt 1 in
-  let fs = ref [] in
-  let add sev ~node code fmt =
-    Printf.ksprintf
-      (fun m ->
-        fs :=
-          Finding.make ~kernel ~loop:loop.Kernel.label ~node Finding.Range_check sev
-            ~code "%s" m
-          :: !fs)
-      fmt
-  in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let id = i.Instr.id in
-      if not (List.mem id skeleton) then begin
-        let checked =
-          match i.Instr.op with
-          (* constants are configuration registers (wide, saturated at load
-             time); predicates are one bit; scalar inputs are checked where
-             the producing loop exports them *)
-          | Op.Const _ | Op.Input _ | Op.Cmp _ | Op.Br -> false
-          | _ -> true
-        in
-        if checked then begin
-          let v = values.(id) in
-          (match i.Instr.op with
+  let pass = Finding.Range_check
+  let top = top
+  let const = point
+  let binop _ = binop_i
+  let isqrt _ = isqrt_i
+  let to_cell = Fun.id
+  let of_cell _ = Fun.id
+  let join = join
+  let equal = equal
+  let input _ _ lo hi = make lo hi
+
+  let transfer _ ~body:_ ~value:_ (i : Instr.t) ~arg =
+    match i.Instr.op with
+    | Op.Bin op -> binop_i op (arg 0) (arg 1)
+    | Op.Un Op.Neg -> neg_i (arg 0)
+    | Op.Un Op.Abs -> abs_i (arg 0)
+    | Op.Un Op.Floor | Op.Fp2fx_int -> floor_i (arg 0)
+    | Op.Cmp _ | Op.Fp2fx_frac -> make 0.0 1.0
+    | Op.Select -> join (arg 1) (arg 2)
+    | Op.Shift_exp -> shift_exp_i (arg 0) (arg 1)
+    | Op.Lut name -> lut_i name (arg 0)
+    | _ -> top (* structural ops: evaluated by the driver *)
+
+  let check fmt (cells : itv array) (i : Instr.t) =
+    match i.Instr.op with
+    (* constants are configuration registers (wide, saturated at load
+       time); predicates are one bit; scalar inputs are checked where the
+       producing loop exports them *)
+    | Op.Const _ | Op.Input _ | Op.Cmp _ | Op.Br -> []
+    | op ->
+        let fx_lo, fx_hi = fx_bounds fmt in
+        let step = Fx.to_float fmt 1 in
+        let v = cells.(i.Instr.id) and name = Op.name op in
+        let div =
+          match op with
           | Op.Bin Op.Div ->
-              let denom =
+              let d =
                 match List.nth_opt i.Instr.args 1 with
-                | Some a when a >= 0 && a < Array.length values -> values.(a)
+                | Some a when a >= 0 && a < Array.length cells -> cells.(a)
                 | _ -> top
               in
-              if contains_zero denom then
-                add Finding.Warning ~node:id "div-by-zero"
-                  "divisor interval [%g, %g] contains zero" denom.lo denom.hi
-          | _ -> ());
+              if contains_zero d then
+                Absint.report Finding.Warning "div-by-zero"
+                  "divisor interval [%g, %g] contains zero" d.lo d.hi
+              else []
+          | _ -> []
+        in
+        let fits =
           if not (is_finite v) then
-            add Finding.Warning ~node:id "fx-unbounded" "%s value is unbounded: [%g, %g]"
-              (Op.name i.Instr.op) v.lo v.hi
+            Absint.report Finding.Warning "fx-unbounded" "%s value is unbounded: [%g, %g]"
+              name v.lo v.hi
           else if v.lo < fx_lo || v.hi > fx_hi then
-            add Finding.Warning ~node:id "fx-overflow"
-              "%s range [%g, %g] exceeds Q%d.%d representable [%g, %g]"
-              (Op.name i.Instr.op) v.lo v.hi
-              (cfg.fmt.Fx.total_bits - cfg.fmt.Fx.frac_bits)
-              cfg.fmt.Fx.frac_bits fx_lo fx_hi
+            Absint.report Finding.Warning "fx-overflow"
+              "%s range [%g, %g] exceeds Q%d.%d representable [%g, %g]" name v.lo v.hi
+              (fmt.Fx.total_bits - fmt.Fx.frac_bits)
+              fmt.Fx.frac_bits fx_lo fx_hi
           else if
             Float.max (Float.abs v.lo) (Float.abs v.hi) < step
             && not (v.lo = 0.0 && v.hi = 0.0)
           then
-            add Finding.Info ~node:id "fx-precision"
-              "%s range [%g, %g] is below one quantum (%g): value flushes to zero"
-              (Op.name i.Instr.op) v.lo v.hi step
-        end
-      end)
-    body;
-  List.rev !fs
+            Absint.report Finding.Info "fx-precision"
+              "%s range [%g, %g] is below one quantum (%g): value flushes to zero" name
+              v.lo v.hi step
+          else []
+        in
+        div @ fits
+end
 
-let analyze ?(config = default_config) (k : Kernel.t) =
-  let streams = Hashtbl.create 8 in
-  let _, findings =
-    List.fold_left
-      (fun (scalars, acc) loop ->
-        let values, scalars' = analyze_loop config ~streams ~scalars loop in
-        let fs = loop_findings config ~kernel:k.Kernel.name loop values in
-        (scalars', acc @ fs))
-      ([], []) k.Kernel.loops
-  in
-  findings
+module Run = Absint.Make (Domain)
 
-let significant fs =
-  List.filter
-    (fun (f : Finding.t) -> f.Finding.severity <> Finding.Info)
-    fs
+(* dynamic fixed point with a Q8.8 view of the INT16 lane: 8 integer bits of
+   headroom above the unit-interval activations *)
+let q8_8 = Fx.fmt ~total_bits:16 ~frac_bits:8
 
-let safe ?config k = significant (analyze ?config k) = []
+let analyze ?(fmt = q8_8) k = fst (Run.analyze fmt k)
+
+let safe ?fmt k =
+  List.for_all
+    (fun (f : Finding.t) -> f.Finding.severity = Finding.Info)
+    (analyze ?fmt k)

@@ -81,9 +81,8 @@ let test_rope_fits_narrower_than_intervals () =
      fit, but the interval analysis (which multiplies [-2,2]-ish ranges
      outward) flags an overflow.  This is the acceptance separation case. *)
   let k = List.find (fun k -> k.Kernel.name = "rope") roster in
-  let range_cfg = { Range.default_config with Range.fmt = q4_8 } in
   Alcotest.(check bool) "interval analysis flags q4.8" false
-    (Range.safe ~config:range_cfg k);
+    (Range.safe ~fmt:q4_8 k);
   let fmt = Numfmt.fixed ~total_bits:12 ~frac_bits:8 in
   let r = Precision.analyze ~fmt k in
   Alcotest.(check bool) "precision proves q4.8 (no overflow finding)" false
@@ -136,6 +135,40 @@ let test_select_budget_monotone () =
   let loose = Compiler.select_format ~budget:0.5 k in
   Alcotest.(check bool) "looser budget, narrower-or-equal format" true
     (Numfmt.bits loose.Precision.fmt <= Numfmt.bits tight.Precision.fmt)
+
+let test_select_rejects_bad_budgets () =
+  (* a budget that is not finite and positive proves nothing: an infinite
+     one would let an unbounded format "fit", nan/0/negative ones would
+     silently turn every kernel into a fallback *)
+  let k = List.find (fun k -> k.Kernel.name = "relu") roster in
+  List.iter
+    (fun b ->
+      match Compiler.select_format ~budget:b k with
+      | _ -> Alcotest.failf "budget %g accepted" b
+      | exception Invalid_argument _ -> ())
+    [ infinity; neg_infinity; nan; 0.0; -1.0 ];
+  let var = "PICACHU_ERROR_BUDGET" in
+  let with_env v f =
+    let old = Sys.getenv_opt var in
+    Unix.putenv var v;
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv var (Option.value old ~default:"1e-2"))
+      f
+  in
+  List.iter
+    (fun v ->
+      with_env v (fun () ->
+          match Precision.default_budget () with
+          | b -> Alcotest.failf "%s=%S accepted as %g" var v b
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S rejected naming the variable" v)
+                true
+                (String.starts_with ~prefix:var msg)))
+    [ "garbage"; "inf"; "nan"; "0"; "-1" ];
+  with_env "0.5" (fun () ->
+      Alcotest.(check (float 0.0)) "well-formed value read" 0.5
+        (Precision.default_budget ()))
 
 (* ------------------------------------------------------ execution rounding *)
 
@@ -279,6 +312,8 @@ let suite =
         Alcotest.test_case "softmax falls back honestly" `Quick
           test_select_softmax_fallback;
         Alcotest.test_case "budget monotone" `Quick test_select_budget_monotone;
+        Alcotest.test_case "invalid budgets rejected" `Quick
+          test_select_rejects_bad_budgets;
         Alcotest.test_case "rounder quantizes outputs" `Quick
           test_rounder_quantizes_outputs;
         Alcotest.test_case "claims cover roster" `Quick test_claims_cover_roster;

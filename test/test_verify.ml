@@ -21,8 +21,10 @@ module Arch = Picachu_cgra.Arch
 module Mapper = Picachu_cgra.Mapper
 module Verify = Picachu_verify.Verify
 module Range = Picachu_verify.Range
+module Precision = Picachu_verify.Precision
 module Finding = Picachu_verify.Finding
 module Fx = Picachu_numerics.Fixed_point
+module Numfmt = Picachu_numerics.Numfmt
 module Parallel = Picachu_parallel.Parallel
 module Rng = Picachu_tensor.Rng
 open Picachu
@@ -604,6 +606,47 @@ let test_range_consistent_with_interp () =
         (library variant))
     [ Kernels.picachu; Kernels.Baseline ]
 
+(* Golden over both abstract interpreters: every Range finding on the lint
+   library (Taylor, NLI and Baseline, extras included), and for every
+   Taylor/NLI roster kernel under every catalogue format the Precision
+   bound, per-stream outputs (hex floats, so the last ulp is pinned) and
+   findings.  Recorded before the two analyses were folded onto one
+   driver; any drift in transfer rules, fixpoint order or noise-symbol
+   allocation moves it. *)
+let analysis_golden_pin = "d002945e62f98ee5d54efcd457bf1785"
+
+let test_analysis_golden () =
+  let b = Buffer.create 65536 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+  let findings fs = List.iter (fun f -> line "  %s" (Finding.to_string f)) (Finding.sort fs) in
+  let variants = [ Kernels.picachu; Kernels.picachu_nli; Kernels.Baseline ] in
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun (k : Kernel.t) ->
+          line "range %s %s" (variant_name variant) k.Kernel.name;
+          findings (Range.analyze k))
+        (library variant))
+    variants;
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun (k : Kernel.t) ->
+          List.iter
+            (fun fmt ->
+              let r = Precision.analyze ~fmt k in
+              line "precision %s %s %s bound %h" (variant_name variant) k.Kernel.name
+                (Numfmt.name fmt) r.Precision.bound;
+              List.iter
+                (fun (s, (lo, hi), e) -> line "  out %s [%h, %h] err %h" s lo hi e)
+                r.Precision.outputs;
+              findings r.Precision.findings)
+            Numfmt.catalogue)
+        (library variant))
+    [ Kernels.picachu; Kernels.picachu_nli ];
+  Alcotest.(check string) "range+precision transcript digest" analysis_golden_pin
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --------------------------------------------------------------- gate wiring *)
 
 let test_gate_rejects_bad_kernel () =
@@ -668,6 +711,7 @@ let suite =
         Alcotest.test_case "range flags overflow" `Quick test_range_flags_overflow;
         Alcotest.test_case "safe kernels stay representable in interp" `Quick
           test_range_consistent_with_interp;
+        Alcotest.test_case "range+precision golden" `Quick test_analysis_golden;
         Alcotest.test_case "verify gate rejects bad kernel" `Quick
           test_gate_rejects_bad_kernel;
       ] );
