@@ -114,16 +114,6 @@ let bench_tests =
             }
           in
           fun () -> ignore (Hw_sim.run (Lazy.force compiled) env)));
-    (* map: rescheduling under a sibling design point's schedule as hint —
-       the warm fast path (rebuild + verify, no Rau search) vs the cold
-       fig7 entry above *)
-    Test.make ~name:"map:warm-start"
-      (Staged.stage
-         (let arch_from = Arch.hetero_mix ~rows:4 ~cols:4 ~cot_share:0.5 in
-          let arch_to = Arch.hetero_mix ~rows:4 ~cols:4 ~cot_share:(2.0 /. 3.0) in
-          let g = Lazy.force softmax_dfg in
-          let hint = lazy (Mapper.map_dfg arch_from g) in
-          fun () -> ignore (Mapper.map_dfg ~hint:(Lazy.force hint) arch_to g)));
     (* nli: one full error-equalizing breakpoint fit (binary search over
        the per-segment threshold around greedy covers) for the gelu table *)
     Test.make ~name:"nli:fit-gelu"
@@ -139,20 +129,21 @@ let bench_tests =
            ignore
              (Explore.sweep ~sizes:[ (3, 3) ] ~cot_shares:[ 0.5 ]
                 ~backends:[ Kernels.Taylor; Kernels.Nli ] ())));
-    (* dse: evaluating one design point with the compile cache bypassed —
+    (* dse: evaluating one design point from an empty compile cache —
        every kernel pays the full pipeline, so this tracks raw mapper cost *)
     Test.make ~name:"dse:evaluate-3x3"
       (Staged.stage (fun () ->
-           ignore (Explore.evaluate ~cold:true ~rows:3 ~cols:3 ~cot_share:0.5 ())));
-    (* dse: the full 16-point warm sweep from a cold cache — the end-to-end
-       DSE throughput number (dedupe + warm starts + pruned search) *)
+           Compiler.cache_clear ();
+           ignore (Explore.evaluate ~rows:3 ~cols:3 ~cot_share:0.5 ())));
+    (* dse: the full 16-point sweep from a cold cache — the end-to-end
+       DSE throughput number (dedupe + pruned search) *)
     Test.make ~name:"dse:sweep-16pt-cold"
       (Staged.stage (fun () ->
            Compiler.cache_clear ();
-           ignore (Explore.sweep ~warm:true ())));
+           ignore (Explore.sweep ())));
     (* dse: a tiny seeded annealing run on the warm cache — tracks the
        per-candidate overhead of the co-design search machinery itself
-       (move generation, hint seeding, batched evaluation, acceptance) *)
+       (move generation, batched evaluation, acceptance) *)
     Test.make ~name:"dse:codesign-anneal"
       (Staged.stage (fun () ->
            ignore

@@ -21,10 +21,10 @@ dune exec bin/picachu_cli.exe -- compile softmax --timings
 dune exec bin/picachu_cli.exe -- stats
 
 echo "== search-effort budget gate =="
-# the full-roster warm DSE sweep from a cold cache must stay under a pinned
+# the full-roster DSE sweep from a cold cache must stay under a pinned
 # II-attempt ceiling — catches search-cost regressions the way the QoR
-# goldens catch schedule regressions (measured: 618 attempts; ceiling 1.3x)
-dune exec bin/picachu_cli.exe -- stats --sweep-effort 800
+# goldens catch schedule regressions (measured: 928 attempts; ceiling 1.3x)
+dune exec bin/picachu_cli.exe -- stats --sweep-effort 1200
 
 echo "== static verification sweep =="
 # whole kernel library through the independent verifier (IR lint, DFG

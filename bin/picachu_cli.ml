@@ -151,7 +151,7 @@ let stats_cmd =
       & opt (some int) None
       & info [ "sweep-effort" ] ~docv:"CEILING"
           ~doc:
-            "Run the full-roster 16-point warm DSE sweep from a cold cache \
+            "Run the full-roster 16-point DSE sweep from a cold cache \
              and fail if the mapper spends more than $(docv) II attempts — \
              the search-cost analogue of a QoR golden.")
   in
@@ -160,7 +160,7 @@ let stats_cmd =
     | Some ceiling ->
         Compiler.cache_clear ();
         Compiler.reset_stats ();
-        let pts = Explore.sweep ~warm:true () in
+        let pts = Explore.sweep () in
         let c = Mapper.counters () in
         Printf.printf "sweep: %d design points\n" (List.length pts);
         Report.search_effort_line c;
@@ -205,7 +205,7 @@ let stats_cmd =
        ~doc:"Compile the whole kernel library twice and print per-pass \
              pipeline stats; fails if the second sweep misses the \
              content-addressed cache.  With $(b,--sweep-effort) instead runs \
-             the warm DSE sweep under an II-attempt budget gate.")
+             the DSE sweep under an II-attempt budget gate.")
     Term.(const run $ sweep_effort)
 
 (* ------------------------------------------------------------------ lint *)
@@ -346,12 +346,7 @@ let formats_cmd =
     in
     (* a budget that is not finite and positive proves nothing: refuse it
        before printing a table *)
-    let budget =
-      try Precision.resolve_budget budget
-      with Invalid_argument msg ->
-        Printf.eprintf "picachu formats: %s\n" msg;
-        exit 2
-    in
+    let budget = Precision.resolve_budget budget in
     Printf.printf "%-16s %-10s %5s  %-11s %-9s %s\n" "kernel" "format" "bits"
       "proven" "budget" "status";
     let narrow = ref 0 and fallbacks = ref 0 in
@@ -572,12 +567,8 @@ let serve_cmd =
     in
     let spec = Scheduler.default_trace ~seed ~rps ~requests () in
     let fleet =
-      try
-        Scheduler.serve ~slots ~queue_capacity:queue ~policy
-          (Simulator.default_config ()) m spec
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
+      Scheduler.serve ~slots ~queue_capacity:queue ~policy
+        (Simulator.default_config ()) m spec
     in
     Printf.printf "%s  rps=%g requests=%d policy=%s slots=%d queue=%d seed=%d\n" name
       rps requests (Scheduler.policy_name policy) slots queue seed;
@@ -681,12 +672,7 @@ let cluster_cmd =
         ~defenses ()
     in
     let spec = Scheduler.default_trace ~seed ~rps ~requests () in
-    let report =
-      try Cluster.serve cfg (Simulator.default_config ()) m spec
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    in
+    let report = Cluster.serve cfg (Simulator.default_config ()) m spec in
     Printf.printf
       "%s  replicas=%d router=%s profile=%s mttf=%g mttr=%g rps=%g requests=%d \
        slots=%d queue=%d seed=%d defenses=%s\n"
@@ -808,4 +794,16 @@ let simulate_cmd =
 let () =
   let doc = "PICACHU: plug-in CGRA for nonlinear operations in LLMs (ASPLOS'25 reproduction)" in
   let info = Cmd.info "picachu" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ experiments_cmd; compile_cmd; stats_cmd; lint_cmd; formats_cmd; dump_cmd; hw_run_cmd; frontend_cmd; arch_cmd; models_cmd; simulate_cmd; serve_cmd; cluster_cmd; backends_cmd; codesign_cmd ]))
+  let cmd =
+    Cmd.group info [ experiments_cmd; compile_cmd; stats_cmd; lint_cmd; formats_cmd; dump_cmd; hw_run_cmd; frontend_cmd; arch_cmd; models_cmd; simulate_cmd; serve_cmd; cluster_cmd; backends_cmd; codesign_cmd ]
+  in
+  (* rejected arguments surface as one line and exit 2, whichever command
+     (or library call beneath it) raised *)
+  let fail msg =
+    Printf.eprintf "picachu: %s\n" msg;
+    2
+  in
+  exit
+    (try Cmd.eval ~catch:false cmd with
+    | Invalid_argument msg -> fail msg
+    | Picachu_error.Error e -> fail (Picachu_error.to_string e))

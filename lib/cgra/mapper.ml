@@ -29,22 +29,18 @@ type counters = {
 
 let stat_ii_attempts = Atomic.make 0
 let stat_backtracks = Atomic.make 0
-let stat_warm_hits = Atomic.make 0
-let stat_warm_rejects = Atomic.make 0
 
 let counters () =
   {
     ii_attempts = Atomic.get stat_ii_attempts;
     backtracks = Atomic.get stat_backtracks;
-    warm_hits = Atomic.get stat_warm_hits;
-    warm_rejects = Atomic.get stat_warm_rejects;
+    warm_hits = 0;
+    warm_rejects = 0;
   }
 
 let reset_counters () =
   Atomic.set stat_ii_attempts 0;
-  Atomic.set stat_backtracks 0;
-  Atomic.set stat_warm_hits 0;
-  Atomic.set stat_warm_rejects 0
+  Atomic.set stat_backtracks 0
 
 let popcount m =
   let c = ref 0 and m = ref m in
@@ -556,186 +552,6 @@ let try_map_ctx ctx (g : Dfg.t) ~salt ii =
 
 let max_salt = 3
 
-(* ------------------------------------------------------------ warm start *)
-
-(* Re-validate a sibling design point's schedule on this architecture from
-   first principles: placements in range, tile capability, one node per
-   (tile, cycle mod II) slot, every dependence inequality under *this*
-   mesh's distances, and recomputed makespan / routed_hops.  The caller's
-   [validate] (the independent verifier) then gets the final say.
-
-   Nodes whose tile binding breaks on the new arch — a CoT-share shift
-   retypes a few tiles, invalidating the placements that used them — get a
-   greedy repair before the hint is rejected: the time schedule is kept and
-   only the broken nodes re-bind, each to the supporting free tile that
-   satisfies its dependence inequalities against every already-bound
-   neighbor at minimum added transport.  The full edge check below still
-   runs over the repaired binding, so a greedy miss is a reject, never a
-   bad schedule. *)
-let rebuild_hint arch ctx (g : Dfg.t) (h : mapping) =
-  let { n; tiles; lat; dist; preds; succs; cand_tiles; _ } = ctx in
-  if Array.length h.schedule <> n || h.ii < 1 then None
-  else begin
-    let ii = h.ii in
-    let time = Array.map (fun (p : placement) -> p.time) h.schedule in
-    let tile = Array.map (fun (p : placement) -> p.tile) h.schedule in
-    let ok = ref true in
-    Array.iter (fun t -> if t < 0 then ok := false) time;
-    if not !ok then None
-    else begin
-      let occupant = Array.make (tiles * ii) (-1) in
-      let broken = ref [] in
-      for u = 0 to n - 1 do
-        let tl = tile.(u) in
-        if
-          tl < 0 || tl >= tiles
-          || not (Arch.supports arch ~tile:tl g.nodes.(u).op)
-        then begin
-          tile.(u) <- -1;
-          broken := u :: !broken
-        end
-        else begin
-          let slot = (tl * ii) + (time.(u) mod ii) in
-          if occupant.(slot) >= 0 then begin
-            tile.(u) <- -1;
-            broken := u :: !broken
-          end
-          else occupant.(slot) <- u
-        end
-      done;
-      let feasible u tl t =
-        occupant.((tl * ii) + (t mod ii)) = -1
-        && Array.for_all
-             (fun p ->
-               let v = p lsr 8 and d = p land 0xff in
-               v = u || tile.(v) < 0
-               || t
-                  >= time.(v) + lat.(v)
-                     + dist.((tile.(v) * tiles) + tl)
-                     - (d * ii))
-             preds.(u)
-        && Array.for_all
-             (fun p ->
-               let v = p lsr 8 and d = p land 0xff in
-               v = u || tile.(v) < 0
-               || time.(v)
-                  >= t + lat.(u)
-                     + dist.((tl * tiles) + tile.(v))
-                     - (d * ii))
-             succs.(u)
-      in
-      let hops_around u tl =
-        let acc = ref 0 in
-        Array.iter
-          (fun p ->
-            let v = p lsr 8 in
-            if v <> u && tile.(v) >= 0 then
-              acc := !acc + dist.((tile.(v) * tiles) + tl))
-          preds.(u);
-        Array.iter
-          (fun p ->
-            let v = p lsr 8 in
-            if v <> u && tile.(v) >= 0 then
-              acc := !acc + dist.((tl * tiles) + tile.(v)))
-          succs.(u);
-        !acc
-      in
-      (* The broken set is small (a share shift retypes a handful of tiles),
-         so re-bind it exactly: backtracking over the broken nodes in index
-         order, candidates tried cheapest-transport-first.  A candidate may
-         also shift the node's time by a few multiples of II — the slot
-         residue (and thus steady-state occupancy) is unchanged, only the
-         dependence inequalities move — which rescues placements whose new
-         route is longer than the old slack.  Constraints against
-         still-unbound brethren are deferred to the later node's turn, so a
-         complete assignment satisfies every pair.  A small trial budget
-         bounds the worst case (a hint broken nearly everywhere is cheaper
-         to reject than to solve exactly). *)
-      let trials = ref 256 in
-      let rec rebind = function
-        | [] -> true
-        | _ when !trials <= 0 -> false
-        | u :: rest ->
-            let t0 = time.(u) in
-            let cands =
-              List.concat_map
-                (fun k ->
-                  let t = t0 + (k * ii) in
-                  if t < 0 then []
-                  else
-                    Array.to_list cand_tiles.(u)
-                    |> List.filter (fun tl -> feasible u tl t)
-                    |> List.map (fun tl -> (abs k, hops_around u tl, tl, t)))
-                [ 0; 1; -1; 2; -2 ]
-              |> List.sort (fun (k1, h1, tl1, t1) (k2, h2, tl2, t2) ->
-                     match Int.compare k1 k2 with
-                     | 0 -> (
-                         match Int.compare h1 h2 with
-                         | 0 -> (
-                             match Int.compare tl1 tl2 with
-                             | 0 -> Int.compare t1 t2
-                             | c -> c)
-                         | c -> c)
-                     | c -> c)
-            in
-            List.exists
-              (fun (_, _, tl, t) ->
-                decr trials;
-                !trials >= 0
-                &&
-                begin
-                  tile.(u) <- tl;
-                time.(u) <- t;
-                  occupant.((tl * ii) + (t mod ii)) <- u;
-                  if rebind rest then true
-                  else begin
-                    occupant.((tl * ii) + (t mod ii)) <- -1;
-                    tile.(u) <- -1;
-                    time.(u) <- t0;
-                    false
-                  end
-                end)
-              cands
-      in
-      if not (rebind (List.rev !broken)) then ok := false;
-      if !ok then
-        List.iter
-          (fun (e : Dfg.edge) ->
-            if e.src = e.dst then begin
-              if lat.(e.src) > e.distance * ii then ok := false
-            end
-            else if
-              time.(e.dst)
-              < time.(e.src) + lat.(e.src)
-                + dist.((tile.(e.src) * tiles) + tile.(e.dst))
-                - (e.distance * ii)
-            then ok := false)
-          g.edges;
-      if not !ok then None
-      else begin
-        let makespan = ref 0 in
-        for u = 0 to n - 1 do
-          if time.(u) + lat.(u) > !makespan then makespan := time.(u) + lat.(u)
-        done;
-        let routed_hops =
-          List.fold_left
-            (fun acc (e : Dfg.edge) ->
-              acc + dist.((tile.(e.src) * tiles) + tile.(e.dst)))
-            0 g.edges
-        in
-        Some
-          {
-            ii;
-            schedule =
-              Array.init n (fun u -> { time = time.(u); tile = tile.(u) });
-            makespan = !makespan;
-            routed_hops;
-            arch_name = arch.Arch.name;
-          }
-      end
-    end
-  end
-
 (* --------------------------------------------------------------- search *)
 
 (* Distinct LUT tables the loop references (fusion may have subsumed the
@@ -767,114 +583,73 @@ let check_lut_capacity arch g =
             (String.concat ", " (lut_names g))
             rom arch.Arch.lut_capacity_bytes))
 
-let map_dfg ?(max_ii = 128) ?hint ?(validate = fun (_ : mapping) -> true) arch g
-    =
+let map_dfg ?(max_ii = 128) arch g =
   check_lut_capacity arch g;
   let ctx = make_ctx arch g in
   let start = min_ii arch g in
-  let cold ?ceiling () =
-    (* a few salted attempts per II escape deterministic ejection livelocks
-       (the phi/source pair chasing each other through the same tile order).
-       Salt 0 runs first on its own — the common immediate success — and only
-       the retry salts fan out across the domain pool; the accepted mapping is
-       always the lowest successful salt, matching the sequential order. *)
-    let retry_salts = Array.init max_salt (fun i -> i + 1) in
-    let attempts ii =
-      match try_map_ctx ctx g ~salt:0 ii with
-      | Some m -> Some m
-      | None ->
-          if Parallel.in_parallel () || Parallel.size () <= 1 then
-            (* sequential retries keep the historical early exit *)
-            let rec go salt =
-              if salt > max_salt then None
-              else
-                match try_map_ctx ctx g ~salt ii with
-                | Some m -> Some m
-                | None -> go (salt + 1)
-            in
-            go 1
-          else
-            let results =
-              Parallel.parallel_map_array
-                (fun salt -> try_map_ctx ctx g ~salt ii)
-                retry_salts
-            in
-            Array.fold_left
-              (fun acc r -> match acc with Some _ -> acc | None -> r)
-              None results
-    in
-    let unmappable () =
-      raise
-        (Unmappable
-           (Printf.sprintf "%s: no II <= %d on %s" g.Dfg.label max_ii
-              arch.Arch.name))
-    in
-    (* [ceiling], when present, is a mapping already known feasible (and
-       externally validated) at [ceiling.ii]: the search never attempts at
-       or above that II — reaching it returns the ceiling itself. *)
-    let cap, cap_m =
-      match ceiling with
-      | Some (m : mapping) -> (m.ii, Some m)
-      | None -> (max_ii, None)
-    in
-    let at_cap () = match cap_m with Some m -> m | None -> unmappable () in
-    (* Geometric escalation with binary refinement: on failure the step
-       doubles (start, +1, +2, +4, ...) so a hard kernel stops paying one
-       full failed Rau search per skipped II, then a binary search between
-       the last failure and the first success recovers the smallest
-       schedulable II.  On kernels whose failing span is <= 2 levels (the
-       whole current roster) the visited IIs — and therefore the accepted
-       (II, salt) mapping — are identical to the old linear scan. *)
-    let rec refine lf hi m =
-      (* invariant: lf failed, hi succeeded with [m] *)
-      if hi <= lf + 1 then m
-      else
-        let mid = (lf + hi) / 2 in
-        match attempts mid with
-        | Some m' -> refine lf mid m'
-        | None -> refine mid hi m
-    in
-    let rec escalate prev_fail step =
-      let ii = Stdlib.min (prev_fail + step) cap in
-      if ii = cap && cap_m <> None then refine prev_fail cap (at_cap ())
-      else
-        match attempts ii with
-        | Some m -> refine prev_fail ii m
-        | None -> if ii >= cap then at_cap () else escalate ii (2 * step)
-    in
-    if start > cap then at_cap ()
-    else if start = cap && cap_m <> None then at_cap ()
-    else
-      match attempts start with
-      | Some m -> m
-      | None -> if start >= cap then at_cap () else escalate start 1
+  (* a few salted attempts per II escape deterministic ejection livelocks
+     (the phi/source pair chasing each other through the same tile order).
+     Salt 0 runs first on its own — the common immediate success — and only
+     the retry salts fan out across the domain pool; the accepted mapping is
+     always the lowest successful salt, matching the sequential order. *)
+  let retry_salts = Array.init max_salt (fun i -> i + 1) in
+  let attempts ii =
+    match try_map_ctx ctx g ~salt:0 ii with
+    | Some m -> Some m
+    | None ->
+        if Parallel.in_parallel () || Parallel.size () <= 1 then
+          (* sequential retries keep the historical early exit *)
+          let rec go salt =
+            if salt > max_salt then None
+            else
+              match try_map_ctx ctx g ~salt ii with
+              | Some m -> Some m
+              | None -> go (salt + 1)
+          in
+          go 1
+        else
+          let results =
+            Parallel.parallel_map_array
+              (fun salt -> try_map_ctx ctx g ~salt ii)
+              retry_salts
+          in
+          Array.fold_left
+            (fun acc r -> match acc with Some _ -> acc | None -> r)
+            None results
   in
-  match hint with
-  | None -> cold ()
-  | Some h -> (
-      (* Warm-start protocol: the sibling's schedule must re-validate from
-         first principles on this arch and pass the caller's independent
-         [validate].  A hint at exactly [min_ii] is accepted outright (no
-         cold search can beat it); a hint at a higher II becomes a search
-         ceiling — the cold search runs only below it and falls back to the
-         hint when every lower II fails, so the expensive failing levels at
-         and above a known-feasible II are never paid again.  Anything else
-         is a reject and searches cold. *)
-      match rebuild_hint arch ctx g h with
-      | Some m when m.ii <= max_ii && validate m ->
-          if m.ii = start then begin
-            Atomic.incr stat_warm_hits;
-            m
-          end
-          else begin
-            let r = cold ~ceiling:m () in
-            if r == m then Atomic.incr stat_warm_hits
-            else Atomic.incr stat_warm_rejects;
-            r
-          end
-      | _ ->
-          Atomic.incr stat_warm_rejects;
-          cold ())
+  let unmappable () =
+    raise
+      (Unmappable
+         (Printf.sprintf "%s: no II <= %d on %s" g.Dfg.label max_ii
+            arch.Arch.name))
+  in
+  (* Geometric escalation with binary refinement: on failure the step
+     doubles (start, +1, +2, +4, ...) so a hard kernel stops paying one
+     full failed Rau search per skipped II, then a binary search between
+     the last failure and the first success recovers the smallest
+     schedulable II.  On kernels whose failing span is <= 2 levels (the
+     whole current roster) the visited IIs — and therefore the accepted
+     (II, salt) mapping — are identical to the old linear scan. *)
+  let rec refine lf hi m =
+    (* invariant: lf failed, hi succeeded with [m] *)
+    if hi <= lf + 1 then m
+    else
+      let mid = (lf + hi) / 2 in
+      match attempts mid with
+      | Some m' -> refine lf mid m'
+      | None -> refine mid hi m
+  in
+  let rec escalate prev_fail step =
+    let ii = Stdlib.min (prev_fail + step) max_ii in
+    match attempts ii with
+    | Some m -> refine prev_fail ii m
+    | None -> if ii >= max_ii then unmappable () else escalate ii (2 * step)
+  in
+  if start > max_ii then unmappable ()
+  else
+    match attempts start with
+    | Some m -> m
+    | None -> if start >= max_ii then unmappable () else escalate start 1
 
 let loop_cycles m ~trips = if trips <= 0 then 0 else m.makespan + ((trips - 1) * m.ii)
 

@@ -39,11 +39,11 @@ type counters = {
   warm_rejects : int;
 }
 (** Process-global search-effort totals: [ii_attempts] counts scheduling
-    attempts (one per (II, salt) pair tried), [backtracks] counts node
-    ejections inside those attempts, and [warm_hits] / [warm_rejects] count
-    warm-start hints accepted and discarded.  Atomics — exact under the
-    domain pool; the compilation pipeline snapshots them for its per-pass
-    stats. *)
+    attempts (one per (II, salt) pair tried) and [backtracks] counts node
+    ejections inside those attempts.  Atomics — exact under the domain pool;
+    the compilation pipeline snapshots them for its per-pass stats.
+    [warm_hits] and [warm_rejects] are always 0: the mapper has no warm
+    start, and the fields remain only for callers that still read them. *)
 
 val counters : unit -> counters
 val reset_counters : unit -> unit
@@ -73,28 +73,12 @@ val lut_rom_bytes : Dfg.t -> int
     rejects the DFG ([Unmappable]) when this exceeds
     [Arch.lut_capacity_bytes]. *)
 
-val map_dfg :
-  ?max_ii:int ->
-  ?hint:mapping ->
-  ?validate:(mapping -> bool) ->
-  Arch.t ->
-  Dfg.t ->
-  mapping
+val map_dfg : ?max_ii:int -> Arch.t -> Dfg.t -> mapping
 (** Raises [Unmappable] if no II up to [max_ii] (default 128) works — e.g. a
     node's op is supported by no tile.  The II search escalates
     geometrically from {!min_ii} with binary refinement between the last
     failure and the first success, so hard kernels stop paying one full
-    failed Rau search per skipped II level.
-
-    [hint] warm-starts the search from a sibling design point's mapping
-    (typically the same kernel on an architecture one knob away).  The hint
-    is accepted only when (a) its II equals this point's {!min_ii}, so no
-    cold search could find a lower II, (b) its schedule re-validates from
-    first principles on this architecture — capability, slot exclusivity
-    modulo II, and every dependence inequality under this mesh's distances —
-    and (c) the caller's [validate] (e.g. the independent verifier's
-    [check_mapping]) finds nothing wrong.  Any failure falls back silently
-    to the cold search; [validate] is never consulted for cold results. *)
+    failed Rau search per skipped II level. *)
 
 val loop_cycles : mapping -> trips:int -> int
 (** Steady-state execution time of [trips] iterations:

@@ -151,19 +151,17 @@ let with_pool ~size f =
       shutdown p)
     f
 
-let resolve = function Some p -> p | None -> global ()
-
 let seq_for lo hi f =
   for i = lo to hi - 1 do
     f i
   done
 
-let parallel_for ?pool ?chunk lo hi f =
+let parallel_for ?chunk lo hi f =
   let n = hi - lo in
   if n <= 0 then ()
   else if in_parallel () then seq_for lo hi f
   else
-    let p = resolve pool in
+    let p = global () in
     let alive = p.size > 1 && Array.length p.workers > 0 in
     if (not alive) || n = 1 then seq_for lo hi f
     else begin
@@ -200,17 +198,17 @@ let parallel_for ?pool ?chunk lo hi f =
       end
     end
 
-let parallel_map_array ?pool f a =
+let parallel_map_array f a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
     let first = f (Array.unsafe_get a 0) in
     let out = Array.make n first in
-    parallel_for ?pool 1 n (fun i -> Array.unsafe_set out i (f (Array.unsafe_get a i)));
+    parallel_for 1 n (fun i -> Array.unsafe_set out i (f (Array.unsafe_get a i)));
     out
   end
 
-let parallel_reduce ?pool ?chunk ~lo ~hi ~init ~fold map =
+let parallel_reduce ?chunk ~lo ~hi ~init ~fold map =
   let n = hi - lo in
   if n <= 0 then init
   else begin
@@ -228,6 +226,6 @@ let parallel_reduce ?pool ?chunk ~lo ~hi ~init ~fold map =
       done;
       !acc
     in
-    let partials = parallel_map_array ?pool block (Array.init nblocks (fun b -> b)) in
+    let partials = parallel_map_array block (Array.init nblocks (fun b -> b)) in
     Array.fold_left fold init partials
   end

@@ -26,33 +26,14 @@
     This both avoids deadlock on the shared pool and keeps the arithmetic of
     nested kernels identical to the sequential path. *)
 
-type pool
-
-val create : int -> pool
-(** [create n] spawns [n - 1] worker domains ([n >= 1]; values are clamped
-    to at least 1). *)
-
-val shutdown : pool -> unit
-(** Joins and discards the pool's workers.  Idempotent.  Using a pool after
-    shutting it down runs everything sequentially. *)
-
-val pool_size : pool -> int
-
-val default_size : unit -> int
-(** [PICACHU_DOMAINS] when set to a positive integer, otherwise
-    {!Domain.recommended_domain_count}.  Either way the result is clamped to
+val size : unit -> int
+(** Size of the ambient pool, created on first use and shut down at exit.
+    [PICACHU_DOMAINS] sets it when it holds a positive integer (any other
+    value raises [Invalid_argument]), otherwise
+    {!Domain.recommended_domain_count}.  Either way the size is clamped to
     {!Domain.recommended_domain_count}: the hot kernels are compute-bound,
     so oversubscription never helps and idle domains tax every
-    stop-the-world minor collection.  ({!create} and {!with_pool} accept any
-    size — the determinism tests rely on that to exercise multi-domain
-    pools on any host.) *)
-
-val global : unit -> pool
-(** The ambient pool, created on first use with {!default_size} workers and
-    shut down automatically at exit. *)
-
-val size : unit -> int
-(** Size of the ambient pool (creates it on first use). *)
+    stop-the-world minor collection. *)
 
 val in_parallel : unit -> bool
 (** True while executing inside a parallel region (on any domain). *)
@@ -61,20 +42,21 @@ val with_pool : size:int -> (unit -> 'a) -> 'a
 (** [with_pool ~size f] runs [f] with a fresh pool of [size] installed as
     the ambient pool, then restores the previous ambient pool and shuts the
     temporary one down (also on exception).  Used by the determinism tests
-    to pin the pool size regardless of [PICACHU_DOMAINS]. *)
+    to pin the pool size regardless of [PICACHU_DOMAINS]; unlike the
+    ambient default, [size] is not clamped, so they exercise multi-domain
+    pools on any host. *)
 
-val parallel_for : ?pool:pool -> ?chunk:int -> int -> int -> (int -> unit) -> unit
+val parallel_for : ?chunk:int -> int -> int -> (int -> unit) -> unit
 (** [parallel_for lo hi f] runs [f i] for [lo <= i < hi].  Indices are
     dealt to workers in contiguous chunks ([chunk] overrides the automatic
     chunk size).  [f] must write only to locations owned by its index.  The
     first exception raised by any index is re-raised in the caller. *)
 
-val parallel_map_array : ?pool:pool -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map_array : ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], with each element mapped exactly once and results in
     input order. *)
 
 val parallel_reduce :
-  ?pool:pool ->
   ?chunk:int ->
   lo:int ->
   hi:int ->
@@ -84,5 +66,5 @@ val parallel_reduce :
   'a
 (** [parallel_reduce ~lo ~hi ~init ~fold map]: chunked reduction of [map i]
     over [lo <= i < hi]; see the determinism contract above.  Returns [init]
-    on an empty range.  ([map] is positional so the optional arguments are
+    on an empty range.  ([map] is positional so the optional argument is
     erased at full application.) *)

@@ -267,6 +267,11 @@ let run cfg ~(cost : Traffic.cost_source) arrivals =
   if cfg.queue_capacity < 1 then invalid_arg "Cluster.run: queue_capacity must be positive";
   if profile_active cfg.profile && not (cfg.profile.mttr_s > 0.0) then
     invalid_arg "Cluster.run: mttr must be positive when faults are on";
+  (* NaN compares false everywhere, so it would quietly switch these off *)
+  if not (cfg.profile.mttf_s > 0.0) then
+    invalid_arg "Cluster.run: mttf must be positive (infinity disables faults)";
+  if not (cfg.defenses.timeout_s > 0.0) then
+    invalid_arg "Cluster.run: timeout must be positive (infinity disables it)";
   (match cfg.policy with
   | Traffic.Static b when b < 1 -> invalid_arg "Cluster.run: batch size must be positive"
   | _ -> ());
@@ -283,7 +288,9 @@ let run cfg ~(cost : Traffic.cost_source) arrivals =
   Array.iter
     (fun (a : Traffic.arrival) ->
       if a.Traffic.request.Serving.prompt < 1 || a.Traffic.request.Serving.generate < 1
-      then invalid_arg "Cluster.run: request")
+      then invalid_arg "Cluster.run: request";
+      if not (Float.is_finite a.Traffic.at) then
+        invalid_arg "Cluster.run: arrival time must be finite")
     arrivals;
   let n = Array.length arrivals in
   let reqs =

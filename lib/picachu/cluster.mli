@@ -164,7 +164,9 @@ val accounting_ok : report -> bool
 
 val run : config -> cost:Traffic.cost_source -> Traffic.arrival list -> report
 (** Simulate a trace through the cluster.  Raises [Invalid_argument] on
-    non-positive knobs or a malformed request; never raises on overload —
+    non-positive knobs (a NaN [mttf_s] or [timeout_s] included; [infinity]
+    is legal and means "off"), a malformed request, or a non-finite arrival
+    time; never raises on overload —
     shed and lost load is reported, not thrown. *)
 
 val serve :

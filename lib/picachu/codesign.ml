@@ -167,26 +167,6 @@ let neighbor rng (a : Arch.t) =
   in
   go 1
 
-(* ---- warm starts ------------------------------------------------------- *)
-
-(* One private store per candidate, populated from the current design's
-   accepted schedules.  All the current design's compiles are cache hits
-   (it was evaluated when it became current), so seeding is a readback +
-   harvest, not a compile.  Privacy matters: candidates harvest their own
-   schedules while compiling, and hint keys carry no architecture, so a
-   store shared across a concurrent batch would leak one candidate's
-   schedules into a sibling's lookups in pool order. *)
-let seed_store ~backend arch =
-  let s = Compiler.hints_create () in
-  let opts = Compiler.picachu_options ~arch () in
-  List.iter
-    (fun k ->
-      match Compiler.memo_result opts k with
-      | Ok c -> Compiler.harvest_hints s opts c
-      | Error _ -> ())
-    (Explore.kernel_roster ~backend ());
-  s
-
 (* ---- the annealer ------------------------------------------------------ *)
 
 let run ?(config = default_config) () =
@@ -229,15 +209,12 @@ let run ?(config = default_config) () =
     let n = Stdlib.min cfg.batch (cfg.iters - !step) in
     (* moves draw sequentially from the current state ... *)
     let cands = Array.init n (fun _ -> neighbor rng !cur_arch) in
-    let stores =
-      Array.map (fun _ -> seed_store ~backend:cfg.backend !cur_arch) cands
-    in
     (* ... the batch evaluates concurrently ... *)
     let points =
       Parallel.parallel_map_array
         (fun i ->
           let _, a = cands.(i) in
-          match Explore.evaluate_arch ~hints:stores.(i) ~backend:cfg.backend a with
+          match Explore.evaluate_arch ~backend:cfg.backend a with
           | p -> Some p
           | exception (Mapper.Unmappable _ | Picachu_error.Error _) -> None)
         (Array.init n Fun.id)

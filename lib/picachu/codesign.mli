@@ -18,23 +18,18 @@
     each generation's batch of candidates is {e evaluated} concurrently over
     [lib/parallel].
 
-    {2 Warm starts}
-
-    Every candidate is one knob away from the current design, so its mapper
-    is seeded with the current design's accepted schedules (PR 6 hints).
-    Each candidate gets its {e own} hint store, populated from the current
-    state before the batch fans out: a store shared across a concurrent
-    batch would let one candidate's harvested schedules leak into a
-    sibling's lookups in pool-order, breaking determinism.
+    Every candidate is a full compile of the roster on its architecture,
+    through the content-addressed cache, so revisiting a design costs no
+    mapper work.
 
     {2 Determinism}
 
     All random draws (move selection and Metropolis) happen on the calling
     thread in a fixed order, one Metropolis draw per candidate whether or
     not it is needed; candidate evaluation is deterministic per candidate
-    (private hint stores, content-addressed cache with deterministic
-    values); so the whole trace is a pure function of the seed and config,
-    independent of the domain-pool size. *)
+    (the content-addressed cache holds deterministic values); so the whole
+    trace is a pure function of the seed and config, independent of the
+    domain-pool size. *)
 
 type objective =
   | Perf_per_area  (** maximize {!Explore.point.perf_per_area} *)

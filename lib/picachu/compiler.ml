@@ -62,8 +62,6 @@ let () =
       [
         ("ii-attempts", c.Mapper.ii_attempts);
         ("backtracks", c.Mapper.backtracks);
-        ("warm-hits", c.Mapper.warm_hits);
-        ("warm-rejects", c.Mapper.warm_rejects);
       ])
 
 (* ------------------------------------------------- format selection pass *)
@@ -86,33 +84,6 @@ let stage_select_format ?budget ?candidates () =
 
 let select_format ?budget ?candidates (k : Kernel.t) =
   Pipeline.run (stage_select_format ?budget ?candidates ()) k
-
-(* ------------------------------------------------------- warm-start hints *)
-
-(* A hint store carries accepted mappings across the design points of a
-   sweep so a sibling compile (same kernel, one arch knob changed) can seed
-   the mapper instead of searching cold.  Keys deliberately exclude the
-   architecture — cross-arch reuse is the whole point — and identify the
-   schedule's exact input: the *post-transform* kernel digest (so vector and
-   unroll factors are baked in), the loop's ordinal, and the fuse knob.
-   The mapper re-validates every hint from first principles on the new arch
-   (and [stage_schedule] adds the independent verifier), so a stale or
-   cross-wired hint costs a [warm_rejects] tick, never a wrong schedule. *)
-type hints = {
-  table : (string, Mapper.mapping) Hashtbl.t;
-  hints_lock : Mutex.t;
-}
-
-let hints_create () = { table = Hashtbl.create 64; hints_lock = Mutex.create () }
-
-let hint_key ~digest ~fuse ~loop_idx =
-  Printf.sprintf "%s:%d:%b" digest loop_idx fuse
-
-let hint_find h key =
-  Mutex.protect h.hints_lock (fun () -> Hashtbl.find_opt h.table key)
-
-let hint_store h key m =
-  Mutex.protect h.hints_lock (fun () -> Hashtbl.replace h.table key m)
 
 let dump_dfg (_, g) = Format.asprintf "%a" Dfg.pp g
 
@@ -144,68 +115,28 @@ let stage_fuse =
       Pipeline.bump ~pass:"fuse" "matches" matches;
       (loop, fused))
 
-let stage_schedule ?hint arch =
+let stage_schedule arch =
   Pipeline.v ~name:"schedule"
     ~post:(fun cl -> Verify.check_mapping arch cl.dfg cl.mapping)
-    (fun (loop, g) ->
-      (* warm-start acceptance always consults the independent verifier,
-         regardless of the PICACHU_VERIFY knob: reusing a sibling design
-         point's schedule is exactly the step that deserves an outside
-         opinion, and the check runs only on the (rare) hint path *)
-      let validate m = Finding.errors (Verify.check_mapping arch g m) = [] in
-      { source = loop; dfg = g; mapping = Mapper.map_dfg ?hint ~validate arch g })
+    (fun (loop, g) -> { source = loop; dfg = g; mapping = Mapper.map_dfg arch g })
 
-let compile_with_unroll ?hints (opts : options) uf (k : Kernel.t) =
+let compile_with_unroll (opts : options) uf (k : Kernel.t) =
   let front = Pipeline.(stage_vectorize opts.vector >>> stage_unroll uf) in
   let k = Pipeline.run front k in
-  let lookup =
-    match hints with
-    | None -> fun _ -> None
-    | Some h ->
-        let digest = Kernel.structural_digest k in
-        fun i -> hint_find h (hint_key ~digest ~fuse:opts.fuse ~loop_idx:i)
-  in
-  let back i =
+  let back =
     Pipeline.(
       stage_extract
       >>> (if opts.fuse then stage_fuse else skip)
-      >>> stage_schedule ?hint:(lookup i) opts.arch)
+      >>> stage_schedule opts.arch)
   in
-  let loops = List.mapi (fun i l -> Pipeline.run (back i) l) k.Kernel.loops in
-  let c =
-    {
-      kernel = k;
-      loops;
-      unroll = uf;
-      vector = opts.vector;
-      arch = opts.arch;
-      arch_name = opts.arch.Arch.name;
-    }
-  in
-  (* every successful candidate seeds the store — the auto-tuner's rejected
-     unroll factors still warm the sibling design point's same-factor
-     compile (the digest keys them apart) *)
-  (match hints with
-  | Some h ->
-      let digest = Kernel.structural_digest k in
-      List.iteri
-        (fun i (cl : compiled_loop) ->
-          hint_store h (hint_key ~digest ~fuse:opts.fuse ~loop_idx:i) cl.mapping)
-        loops
-  | None -> ());
-  c
-
-(* Record a finished compile's schedules for reuse by sibling design points.
-   [c.kernel] is the post-transform kernel, so its digest matches what the
-   next [compile_with_unroll] computes after its own front end. *)
-let harvest_hints hints (opts : options) (c : compiled) =
-  let digest = Kernel.structural_digest c.kernel in
-  List.iteri
-    (fun i (cl : compiled_loop) ->
-      hint_store hints
-        (hint_key ~digest ~fuse:opts.fuse ~loop_idx:i)
-        cl.mapping)
-    c.loops
+  {
+    kernel = k;
+    loops = List.map (Pipeline.run back) k.Kernel.loops;
+    unroll = uf;
+    vector = opts.vector;
+    arch = opts.arch;
+    arch_name = opts.arch.Arch.name;
+  }
 
 let compile_stats () = Pipeline.stats ()
 let reset_stats () = Pipeline.reset ()
@@ -245,7 +176,7 @@ let verify_compiled (opts : options) (c : compiled) =
   in
   Finding.errors (Verify.lint_kernel c.kernel @ structural)
 
-let compile_result ?hints (opts : options) (k : Kernel.t) =
+let compile_result (opts : options) (k : Kernel.t) =
   Atomic.incr compile_runs;
   let candidates =
     match opts.unroll_candidates with [] -> [ 1 ] | l -> l
@@ -256,7 +187,7 @@ let compile_result ?hints (opts : options) (k : Kernel.t) =
     List.iter
       (fun uf ->
         Pipeline.bump ~pass:"unroll" "candidates" 1;
-        match compile_with_unroll ?hints opts uf k with
+        match compile_with_unroll opts uf k with
         | compiled -> (
             let cost = pass_cycles compiled ~n:1024 in
             match !best with
@@ -327,7 +258,7 @@ let cache_key (opts : options) (k : Kernel.t) =
 
 let cache_clear () = Mutex.protect cache_lock (fun () -> Hashtbl.reset cache)
 
-let memo_result ?hints (opts : options) (k : Kernel.t) =
+let memo_result (opts : options) (k : Kernel.t) =
   let key = cache_key opts k in
   match Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache key) with
   | Some r ->
@@ -335,7 +266,7 @@ let memo_result ?hints (opts : options) (k : Kernel.t) =
       r
   | None ->
       Atomic.incr cache_misses;
-      let r = compile_result ?hints opts k in
+      let r = compile_result opts k in
       (* keep the first insertion so concurrent compilers share one value *)
       Mutex.protect cache_lock (fun () ->
           match Hashtbl.find_opt cache key with

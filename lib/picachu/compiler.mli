@@ -51,29 +51,13 @@ type compiled = {
   arch_name : string;
 }
 
-type hints
-(** A warm-start hint store: accepted mappings from already-compiled design
-    points, keyed by (post-transform kernel digest, loop ordinal, fuse) —
-    the architecture is deliberately {e not} part of the key, so a sweep
-    can seed each point's mapper from a sibling one knob away.  Safe to
-    share across domains (internally locked).  Every hint is re-validated
-    from first principles on the consuming architecture and checked by the
-    independent verifier before acceptance ({!Mapper.map_dfg}), so hint
-    stores can only save work, never change a result's legality. *)
-
-val hints_create : unit -> hints
-
-val harvest_hints : hints -> options -> compiled -> unit
-(** Record each loop's accepted mapping for reuse by sibling compiles. *)
-
-val compile_with_unroll : ?hints:hints -> options -> int -> Kernel.t -> compiled
+val compile_with_unroll : options -> int -> Kernel.t -> compiled
 (** One pipeline run at a fixed unroll factor (no tuning).  Raises
     {!Mapper.Unmappable} like the mapper, and {!Pipeline.Pass_failed} when
     a pass post-condition finds Error-severity problems (only with the
     [PICACHU_VERIFY] knob on). *)
 
-val compile_result :
-  ?hints:hints -> options -> Kernel.t -> (compiled, Picachu_error.t) result
+val compile_result : options -> Kernel.t -> (compiled, Picachu_error.t) result
 (** Auto-tuned over [unroll_candidates] (best steady-state cycles at a
     1024-element pass); candidates that fail to map are skipped.  When
     {e every} candidate fails, returns
@@ -121,8 +105,7 @@ val cache_key : options -> Kernel.t -> string
     vector | unroll_candidates].  Kernel and loop {e names} are not part of
     the address — structurally identical kernels share an entry. *)
 
-val memo_result :
-  ?hints:hints -> options -> Kernel.t -> (compiled, Picachu_error.t) result
+val memo_result : options -> Kernel.t -> (compiled, Picachu_error.t) result
 (** Content-addressed memoization of {!compile_result} for any kernel,
     library or user-authored.  Failures are cached too (negative caching):
     a known-unmappable kernel is answered from the table without re-running

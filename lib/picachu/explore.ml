@@ -61,15 +61,11 @@ let arch_area (arch : Arch.t) =
   in
   base +. (float_of_int lut_tiles *. delta)
 
-let evaluate_arch ?(cold = false) ?hints ?(backend = Kernels.Taylor)
-    (arch : Arch.t) =
-  let opts = Compiler.picachu_options ~arch () in
-  (* the roster is deduplicated by structural digest before fan-out: two
-     kernels that canonicalize identically compile once and share the
-     result, independent of (and cheaper than) the content-addressed cache
-     doing the same across repeat visits *)
-  let roster = Array.of_list (kernel_roster ~backend ()) in
-  let digests = Array.map Kernel.structural_digest roster in
+(* Evaluate [f] once per distinct digest across the domain pool and fan the
+   result back out to every index: [dedup_map digest f xs] equals
+   [Array.map f xs] whenever equal digests imply equal results. *)
+let dedup_map digest f xs =
+  let digests = Array.map digest xs in
   let first_idx = Hashtbl.create 16 in
   Array.iteri
     (fun i d -> if not (Hashtbl.mem first_idx d) then Hashtbl.add first_idx d i)
@@ -77,33 +73,35 @@ let evaluate_arch ?(cold = false) ?hints ?(backend = Kernels.Taylor)
   let uniq =
     Array.of_seq
       (Seq.filter (fun i -> Hashtbl.find first_idx digests.(i) = i)
-         (Seq.init (Array.length roster) Fun.id))
+         (Seq.init (Array.length xs) Fun.id))
   in
-  let compile_one k =
-    if cold then Compiler.compile_result ?hints opts k
-    else Compiler.memo_result ?hints opts k
-  in
-  (* kernels compile independently (the mapper keeps all its state local),
-     so one design point fans its unique roster out across the domain pool *)
-  let uniq_results =
-    Parallel.parallel_map_array (fun i -> compile_one roster.(i)) uniq
-  in
+  let uniq_results = Parallel.parallel_map_array (fun i -> f xs.(i)) uniq in
   let by_digest = Hashtbl.create 16 in
   Array.iteri
     (fun j i -> Hashtbl.replace by_digest digests.(i) uniq_results.(j))
     uniq;
+  Array.map (fun d -> Hashtbl.find by_digest d) digests
+
+let evaluate_arch ?(backend = Kernels.Taylor) (arch : Arch.t) =
+  let opts = Compiler.picachu_options ~arch () in
+  (* the roster is deduplicated by structural digest before fan-out: two
+     kernels that canonicalize identically compile once and share the
+     result, independent of (and cheaper than) the content-addressed cache
+     doing the same across repeat visits.  Kernels compile independently
+     (the mapper keeps all its state local), so one design point fans its
+     unique roster out across the domain pool. *)
+  let results =
+    dedup_map Kernel.structural_digest (Compiler.memo_result opts)
+      (Array.of_list (kernel_roster ~backend ()))
+  in
   let throughputs =
-    Array.to_list digests
-    |> List.filter_map (fun d ->
-           (* harvesting happens inside the compile itself (every successful
-              unroll candidate), so cache hits and dedupe reads need no
-              explicit store-back here *)
-           match Hashtbl.find by_digest d with
-           | Ok compiled ->
-               Some
-                 (float_of_int pass_elements
-                 /. float_of_int (Compiler.pass_cycles compiled ~n:pass_elements))
-           | Error _ -> None)
+    Array.to_list results
+    |> List.filter_map (function
+         | Ok compiled ->
+             Some
+               (float_of_int pass_elements
+               /. float_of_int (Compiler.pass_cycles compiled ~n:pass_elements))
+         | Error _ -> None)
   in
   if throughputs = [] then
     raise (Mapper.Unmappable (arch.Arch.name ^ ": no kernel maps"));
@@ -120,94 +118,52 @@ let evaluate_arch ?(cold = false) ?hints ?(backend = Kernels.Taylor)
     perf_per_area = geomean_throughput /. area_mm2;
   }
 
-let evaluate ?cold ?hints ?backend ~rows ~cols ~cot_share () =
-  let p =
-    evaluate_arch ?cold ?hints ?backend (Arch.hetero_mix ~rows ~cols ~cot_share)
-  in
+let evaluate ?backend ~rows ~cols ~cot_share () =
+  let p = evaluate_arch ?backend (Arch.hetero_mix ~rows ~cols ~cot_share) in
   (* keep the requested share as the label (the sweep relabels digest-shared
      points the same way); the measured mix share is what [evaluate_arch]
      reports for hand-built instances *)
   { p with cot_share }
 
-let eval_opt ?cold ?hints ?backend ~rows ~cols ~cot_share () =
-  match evaluate ?cold ?hints ?backend ~rows ~cols ~cot_share () with
-  | p -> Some p
-  | exception (Mapper.Unmappable _ | Picachu_error.Error _) -> None
-
-let sweep_one ~sizes ~cot_shares ~backend ~warm () =
-  if warm then
-    (* Warm mode: parallel across grid sizes, sequential along the CoT-share
-       axis within a size, threading a per-size hint store so each point's
-       mapper seeds from the previous share's schedules.  Hint stores never
-       cross sizes (a resize changes every distance), so the grouping —
-       not the pool — decides what each point can see, and results are
-       pool-size independent like the flat path. *)
-    Parallel.parallel_map_array
-      (fun (rows, cols) ->
-        let hints = Compiler.hints_create () in
-        List.filter_map
-          (fun cot_share -> eval_opt ~hints ~backend ~rows ~cols ~cot_share ())
-          cot_shares)
-      (Array.of_list sizes)
-    |> Array.to_list |> List.concat
-  else begin
-    (* flatten the grid and evaluate design points across the pool; inner
-       per-kernel parallelism collapses to sequential inside a worker.
-       Structurally identical archs (e.g. CoT shares that round to the same
-       tile mix) evaluate once; duplicates reuse the point under their own
-       share label. *)
-    let grid =
-      Array.of_list
-        (List.concat_map
-           (fun (rows, cols) ->
-             List.map (fun cot -> (rows, cols, cot)) cot_shares)
-           sizes)
-    in
-    let digest_of (rows, cols, cot) =
-      Arch.structural_digest (Arch.hetero_mix ~rows ~cols ~cot_share:cot)
-    in
-    let digests = Array.map digest_of grid in
-    let first_idx = Hashtbl.create 16 in
-    Array.iteri
-      (fun i d -> if not (Hashtbl.mem first_idx d) then Hashtbl.add first_idx d i)
-      digests;
-    let uniq =
-      Array.of_seq
-        (Seq.filter (fun i -> Hashtbl.find first_idx digests.(i) = i)
-           (Seq.init (Array.length grid) Fun.id))
-    in
-    let uniq_results =
-      Parallel.parallel_map_array
-        (fun i ->
-          let rows, cols, cot_share = grid.(i) in
-          eval_opt ~backend ~rows ~cols ~cot_share ())
-        uniq
-    in
-    let by_digest = Hashtbl.create 16 in
-    Array.iteri
-      (fun j i -> Hashtbl.replace by_digest digests.(i) uniq_results.(j))
-      uniq;
-    Array.to_list
-      (Array.mapi
-         (fun i (rows, cols, cot_share) ->
-           match Hashtbl.find by_digest digests.(i) with
-           | Some p ->
-               Some
-                 {
-                   p with
-                   cot_share;
-                   arch_name = (Arch.hetero_mix ~rows ~cols ~cot_share).Arch.name;
-                 }
-           | None -> None)
-         grid)
-    |> List.filter_map Fun.id
-  end
+let sweep_one ~sizes ~cot_shares ~backend =
+  (* flatten the grid and evaluate design points across the pool; inner
+     per-kernel parallelism collapses to sequential inside a worker.
+     Structurally identical archs (e.g. CoT shares that round to the same
+     tile mix) evaluate once; duplicates reuse the point under their own
+     share label. *)
+  let grid =
+    Array.of_list
+      (List.concat_map
+         (fun (rows, cols) -> List.map (fun cot -> (rows, cols, cot)) cot_shares)
+         sizes)
+  in
+  let archs =
+    Array.map
+      (fun (rows, cols, cot_share) -> Arch.hetero_mix ~rows ~cols ~cot_share)
+      grid
+  in
+  let points =
+    dedup_map Arch.structural_digest
+      (fun a ->
+        match evaluate_arch ~backend a with
+        | p -> Some p
+        | exception (Mapper.Unmappable _ | Picachu_error.Error _) -> None)
+      archs
+  in
+  Array.to_list
+    (Array.mapi
+       (fun i (_, _, cot_share) ->
+         Option.map
+           (fun p -> { p with cot_share; arch_name = archs.(i).Arch.name })
+           points.(i))
+       grid)
+  |> List.filter_map Fun.id
 
 let sweep ?(sizes = [ (3, 3); (4, 4); (4, 8); (5, 5) ])
     ?(cot_shares = [ 1.0 /. 3.0; 0.5; 2.0 /. 3.0; 5.0 /. 6.0 ])
-    ?(backends = [ Kernels.Taylor ]) ?(warm = false) () =
+    ?(backends = [ Kernels.Taylor ]) () =
   List.concat_map
-    (fun backend -> sweep_one ~sizes ~cot_shares ~backend ~warm ())
+    (fun backend -> sweep_one ~sizes ~cot_shares ~backend)
     backends
 
 let dominates a b =

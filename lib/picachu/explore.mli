@@ -26,8 +26,7 @@ val kernel_roster :
 (** The kernels a design point is scored on: the full library authored with
     [backend] (default Taylor), minus [softmax_online] (same numerics as
     [softmax], kept out so the streaming variant does not double-weight the
-    geomean).  Exposed so searches layered on top (e.g. {!Codesign}) can
-    pre-compile or harvest warm-start hints for exactly the scored set. *)
+    geomean).  Exposed so callers can compile exactly the scored set. *)
 
 val arch_area : Picachu_cgra.Arch.t -> float
 (** {!Picachu_cgra.Cost.cgra_cost} area plus the per-LUT-tile ROM capacity
@@ -38,8 +37,6 @@ val arch_area : Picachu_cgra.Arch.t -> float
     feasibility. *)
 
 val evaluate_arch :
-  ?cold:bool ->
-  ?hints:Compiler.hints ->
   ?backend:Picachu_ir.Kernels.backend ->
   Picachu_cgra.Arch.t ->
   point
@@ -49,8 +46,6 @@ val evaluate_arch :
     Raises like {!evaluate}. *)
 
 val evaluate :
-  ?cold:bool ->
-  ?hints:Compiler.hints ->
   ?backend:Picachu_ir.Kernels.backend ->
   rows:int ->
   cols:int ->
@@ -63,17 +58,14 @@ val evaluate :
     candidate unroll factor (kernels that fail are skipped; a point where
     *no* kernel maps raises).  The roster is deduplicated by
     {!Picachu_ir.Kernel.structural_digest} before fan-out, so structurally
-    shared kernels compile once per point.  [cold] (default false) bypasses
-    the content-addressed cache — benchmarks and the search-effort gate use
-    it to measure genuine compiles.  [hints] warm-starts each kernel's
-    mapper from the store and harvests this point's accepted schedules back
-    into it. *)
+    shared kernels compile once per point.  Compiles go through the
+    content-addressed cache ({!Compiler.memo_result}); call
+    {!Compiler.cache_clear} first to measure genuine compiles. *)
 
 val sweep :
   ?sizes:(int * int) list ->
   ?cot_shares:float list ->
   ?backends:Picachu_ir.Kernels.backend list ->
-  ?warm:bool ->
   unit ->
   point list
 (** Default: sizes {3x3, 4x4, 4x8, 5x5} x CoT shares {1/3, 1/2, 2/3, 5/6},
@@ -81,15 +73,9 @@ val sweep :
     axis: the full grid is swept once per backend, each sweep compiling the
     roster authored with that backend's kernels.
     Design points that share an architecture digest (CoT shares rounding to
-    the same tile mix) evaluate once and are relabeled per share.
-
-    [warm] (default false) evaluates each grid size's shares sequentially,
-    threading a per-size {!Compiler.hints} store along the CoT-share axis so
-    every point after the first seeds its mapper from a sibling one knob
-    away; sizes still run in parallel, and hint stores never cross sizes, so
-    results are pool-size independent.  Off by default: the flat cold path
-    is the reference the transcript golden pins, warm mode is the DSE
-    fast path. *)
+    the same tile mix) evaluate once and are relabeled per share.  Distinct
+    points evaluate in parallel across the domain pool; results are
+    pool-size independent. *)
 
 val pareto : point list -> point list
 (** Points not dominated in (throughput up, area down), in area order. *)

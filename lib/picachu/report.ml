@@ -94,21 +94,9 @@ let cluster_table (r : Cluster.report) =
           (fun (t, k) -> Printf.sprintf "%s=%d" (Serving.tier_name t) k)
           r.Cluster.tiers))
 
-(* One-line mapper search-effort summary: raw attempt/backtrack totals plus
-   the warm-start hit rate whenever any hints were consulted — the number
-   that tells you whether a sweep actually ran on the fast path. *)
 let search_effort_line (c : Picachu_cgra.Mapper.counters) =
-  let consulted = c.Picachu_cgra.Mapper.warm_hits + c.Picachu_cgra.Mapper.warm_rejects in
-  let warm =
-    if consulted = 0 then ""
-    else
-      Printf.sprintf "  warm-hits %d/%d (%s)" c.Picachu_cgra.Mapper.warm_hits
-        consulted
-        (fmt_pct
-           (float_of_int c.Picachu_cgra.Mapper.warm_hits /. float_of_int consulted))
-  in
-  Printf.printf "mapper effort: ii-attempts %d  backtracks %d%s\n"
-    c.Picachu_cgra.Mapper.ii_attempts c.Picachu_cgra.Mapper.backtracks warm
+  Printf.printf "mapper effort: ii-attempts %d  backtracks %d\n"
+    c.Picachu_cgra.Mapper.ii_attempts c.Picachu_cgra.Mapper.backtracks
 
 (* Per-pass pipeline instrumentation, one row per pass in pipeline order.
    Counters render inline ("ii-attempts=147 backtracks=9") so the table

@@ -35,8 +35,7 @@ val pass_table : Pipeline.pass_stats list -> unit
     out of golden-diffed transcripts. *)
 
 val search_effort_line : Picachu_cgra.Mapper.counters -> unit
-(** One-line mapper search-effort summary — II attempts, backtracks, and
-    (when any hints were consulted) the warm-start hit rate. *)
+(** One-line mapper search-effort summary: II attempts and backtracks. *)
 
 val codesign_table : Codesign.result -> unit
 (** Render a {!Codesign.result}: the accepted-move trace, search totals,

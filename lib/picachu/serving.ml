@@ -32,10 +32,6 @@ let gpu_costs gpu m (r : request) =
   { prefill_s = prefill; decode_s_at = List.map (fun c -> (c, decode_at c)) (anchor_lengths r) }
 
 let decode_cost costs ctx =
-  (* the cursor-free form of [summarize]'s interpolation, for callers whose
-     context queries are not monotone (the batched scheduler interleaves
-     requests); same clamping and the same arithmetic expression, so the
-     two agree bit-for-bit on every anchor segment *)
   match costs.decode_s_at with
   | [] -> invalid_arg "Serving: no decode anchors"
   | ((c0, s0) :: _) as anchors ->
@@ -55,28 +51,9 @@ let decode_cost costs ctx =
 
 let summarize costs (r : request) =
   if r.prompt < 1 || r.generate < 1 then invalid_arg "Serving.summarize: request";
-  (* decode contexts grow monotonically, so a cursor over the precomputed
-     anchor array replaces a per-step scan of the anchor list:
-     O(generate + anchors) instead of O(generate x anchors).  Linear
-     interpolation between anchors; clamped outside their range. *)
-  let anchors = Array.of_list costs.decode_s_at in
-  let na = Array.length anchors in
-  if na = 0 then invalid_arg "Serving: no decode anchors";
-  let seg = ref 0 in
-  let cost_at ctx =
-    if ctx <= fst anchors.(0) then snd anchors.(0)
-    else if ctx > fst anchors.(na - 1) then snd anchors.(na - 1)
-    else begin
-      while ctx > fst anchors.(!seg + 1) do
-        incr seg
-      done;
-      let c1, s1 = anchors.(!seg) and c2, s2 = anchors.(!seg + 1) in
-      s1 +. ((s2 -. s1) *. float_of_int (ctx - c1) /. float_of_int (Stdlib.max 1 (c2 - c1)))
-    end
-  in
   let decode_total = ref 0.0 in
   for step = 0 to r.generate - 1 do
-    decode_total := !decode_total +. cost_at (r.prompt + step)
+    decode_total := !decode_total +. decode_cost costs (r.prompt + step)
   done;
   {
     ttft_s = costs.prefill_s;

@@ -29,9 +29,7 @@ val gpu_costs : Picachu_llm.Gpu_model.t -> Mz.t -> request -> phase_costs
 val decode_cost : phase_costs -> int -> float
 (** [decode_cost costs ctx] is the per-step decode seconds at KV-cache
     length [ctx]: linear interpolation between the anchors, clamped outside
-    their range.  Agrees bit-for-bit with the interpolation [summarize]
-    charges per step, but needs no monotone-query cursor — the batched
-    scheduler ({!Scheduler}) interleaves many requests' contexts.  Raises
+    their range.  [summarize] charges exactly this per decode step.  Raises
     [Invalid_argument] when [costs] has no anchors. *)
 
 val summarize : phase_costs -> request -> summary

@@ -36,7 +36,8 @@ type arrival = { id : int; at : float; request : Serving.request }
 
 (* errors name [Scheduler.trace], the public entry that re-exports this *)
 let trace spec =
-  if spec.rps <= 0.0 then invalid_arg "Scheduler.trace: rps must be positive";
+  if not (spec.rps > 0.0) then invalid_arg "Scheduler.trace: rps must be positive";
+  if spec.rps = Float.infinity then invalid_arg "Scheduler.trace: rps must be finite";
   if spec.requests < 1 then invalid_arg "Scheduler.trace: requests must be positive";
   if Array.length spec.prompt_buckets = 0 || Array.length spec.generate_buckets = 0
   then invalid_arg "Scheduler.trace: empty bucket set";

@@ -34,8 +34,8 @@ type arrival = { id : int; at : float; request : Serving.request }
 val trace : trace_spec -> arrival list
 (** The seeded stream, in arrival order: exponential inter-arrival times at
     rate [rps], prompt/generate drawn uniformly from the buckets.  Raises
-    [Invalid_argument] (naming [Scheduler.trace]) on a non-positive rate,
-    request count, or bucket. *)
+    [Invalid_argument] (naming [Scheduler.trace]) on a rate that is not
+    finite and positive, or a non-positive request count or bucket. *)
 
 (** {2 Cost sources} *)
 

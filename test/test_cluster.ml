@@ -246,6 +246,44 @@ let test_retry_budget_exhaustion () =
   Alcotest.(check bool) "timeouts counted" true (r.Cluster.counters.Cluster.timeouts > 0);
   Alcotest.(check bool) "retries spent" true (r.Cluster.counters.Cluster.retries > 0)
 
+(* A NaN compares false everywhere: as an arrival time it was never
+   admitted (the run spun forever), and as [mttf_s] / [timeout_s] it
+   quietly switched faults or deadlines off.  [infinity] stays legal. *)
+let test_nonfinite_knobs_rejected () =
+  let cfg = Cluster.default_config ~replicas:2 () in
+  let run ?(cfg = cfg) trace = Cluster.run cfg ~cost:(flat_cost ()) trace in
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument ("Cluster.run: " ^ msg)) (fun () ->
+        ignore (f ()))
+  in
+  let arrival_msg = "arrival time must be finite" in
+  raises "nan arrival" arrival_msg (fun () ->
+      run [ arrival 0 0.0 8 2; arrival 1 Float.nan 8 2 ]);
+  raises "infinite arrival" arrival_msg (fun () -> run [ arrival 0 Float.infinity 8 2 ]);
+  let with_timeout t =
+    { cfg with Cluster.defenses = { cfg.Cluster.defenses with Cluster.timeout_s = t } }
+  in
+  let timeout_msg = "timeout must be positive (infinity disables it)" in
+  List.iter
+    (fun t ->
+      raises (Printf.sprintf "timeout %g" t) timeout_msg (fun () ->
+          run ~cfg:(with_timeout t) []))
+    [ Float.nan; 0.0; -1.0 ];
+  let with_mttf m =
+    { cfg with Cluster.profile = Cluster.profile_crash ~seed:1 ~mttf:m ~mttr:2.0 () }
+  in
+  let mttf_msg = "mttf must be positive (infinity disables faults)" in
+  List.iter
+    (fun m ->
+      raises (Printf.sprintf "mttf %g" m) mttf_msg (fun () -> run ~cfg:(with_mttf m) []))
+    [ Float.nan; 0.0; -1.0 ];
+  let off =
+    { (with_mttf Float.infinity) with
+      Cluster.defenses = (with_timeout Float.infinity).Cluster.defenses }
+  in
+  let r = run ~cfg:off (List.init 4 (fun i -> arrival i 0.0 8 2)) in
+  Alcotest.(check int) "infinity means off: all answered" 4 r.Cluster.answered
+
 (* ----------------------------------------------------------------- routers *)
 
 let test_round_robin_spreads () =
@@ -306,6 +344,7 @@ let suite =
           test_chaos_defended_vs_undefended;
         qtest prop_accounting_identity;
         Alcotest.test_case "retry budget exhaustion" `Quick test_retry_budget_exhaustion;
+        Alcotest.test_case "non-finite knobs rejected" `Quick test_nonfinite_knobs_rejected;
         Alcotest.test_case "round-robin spreads" `Quick test_round_robin_spreads;
         Alcotest.test_case "static batches per replica" `Quick
           test_static_batches_per_replica;

@@ -2,10 +2,10 @@
    (lib/baselines/one_sa.ml).
 
    The search determinism tests are the load-bearing ones: the annealer
-   batches candidate evaluations over the domain pool and threads warm-start
-   hint stores across moves, and its whole trace must be a pure function of
-   (config, seed) — independent of the pool size and of compile-cache state
-   left behind by earlier runs. *)
+   batches candidate evaluations over the domain pool and shares one
+   content-addressed compile cache across them, and its whole trace must be
+   a pure function of (config, seed) — independent of the pool size and of
+   compile-cache state left behind by earlier runs. *)
 
 open Picachu
 module Arch = Picachu_cgra.Arch

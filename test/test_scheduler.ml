@@ -55,6 +55,12 @@ let test_trace_validation () =
   let spec = Scheduler.default_trace ~rps:4.0 ~requests:8 () in
   Alcotest.check_raises "rps" (Invalid_argument "Scheduler.trace: rps must be positive")
     (fun () -> ignore (Scheduler.trace { spec with Scheduler.rps = 0.0 }));
+  (* NaN passes a plain [rps <= 0.0] test; it used to yield NaN arrival
+     times that the serving loop never admitted, so [serve] spun forever *)
+  Alcotest.check_raises "nan rps" (Invalid_argument "Scheduler.trace: rps must be positive")
+    (fun () -> ignore (Scheduler.trace { spec with Scheduler.rps = Float.nan }));
+  Alcotest.check_raises "infinite rps" (Invalid_argument "Scheduler.trace: rps must be finite")
+    (fun () -> ignore (Scheduler.trace { spec with Scheduler.rps = Float.infinity }));
   Alcotest.check_raises "requests"
     (Invalid_argument "Scheduler.trace: requests must be positive") (fun () ->
       ignore (Scheduler.trace { spec with Scheduler.requests = 0 }))
