@@ -169,7 +169,7 @@ let bench_tests =
          (let k = Kernels.softmax Kernels.picachu in
           let fmt = Picachu_numerics.Numfmt.fixed ~total_bits:16 ~frac_bits:8 in
           fun () -> ignore (Picachu_verify.Precision.analyze ~fmt k)));
-    (* compile: the full format-selection ladder walk (9 candidate
+    (* compile: the full format-selection ladder walk (10 candidate
        analyses) for a kernel that proves a sub-Q16 bound *)
     Test.make ~name:"compile:select-format"
       (Staged.stage

@@ -48,6 +48,16 @@ echo "$formats_out" | grep -Eq "[1-9][0-9]* sub-16-bit selection" || {
 if dune exec bin/picachu_cli.exe -- formats softmax --budget inf; then
   echo "formats smoke: --budget inf was accepted"; exit 1
 fi
+# a kernel that reads its induction variable as data would be miscompiled
+# by unrolling (every copy would see copy 0's index): hw-run must refuse it
+# at validation, never report a max |hw - interp|
+iv_pk="$(mktemp)"
+trap 'rm -f "$iv_pk"' EXIT
+dune exec bin/picachu_cli.exe -- dump relu \
+  | sed 's/%4 = select %3 %2 %0/%4 = mul %2 %1/' > "$iv_pk"
+if dune exec bin/picachu_cli.exe -- hw-run "$iv_pk"; then
+  echo "validation smoke: a kernel reading the induction variable ran"; exit 1
+fi
 
 echo "== approximation backend smoke =="
 # the Taylor-vs-NLI head-to-head must run end to end (compile both rosters,

@@ -47,7 +47,11 @@ val find : loop -> int -> Instr.t
 val validate : t -> (unit, string) result
 (** Structural checks: ids dense and ordered, args resolve, the only forward
     references are phi back edges, exactly one [Br], stores name declared
-    outputs, loads name declared inputs. *)
+    outputs, loads name declared inputs, every [Const] and every [pre]
+    constant is finite, and the induction phi and its increment are read
+    only by each other, the loop compare and load/store address operands
+    (and are never exported) — the unroller re-bases addresses through
+    [offset], so it would give any other reader copy 0's index. *)
 
 val canonical_string : t -> string
 (** Canonical serialization for content addressing: every semantically

@@ -9,6 +9,7 @@ module Mapper = Picachu_cgra.Mapper
 module Verify = Picachu_verify.Verify
 module Finding = Picachu_verify.Finding
 module Precision = Picachu_verify.Precision
+module Absint = Picachu_verify.Absint
 
 type options = {
   arch : Arch.t;
@@ -55,6 +56,11 @@ let pass_names = [ "vectorize"; "unroll"; "extract"; "fuse"; "schedule" ]
 let () =
   List.iter Pipeline.declare pass_names;
   Pipeline.declare "select-format";
+  (* the precision analyzer's fixpoint rounds surface under format
+     selection, the pass that runs it during a compile *)
+  Pipeline.register_counter_source ~pass:"select-format"
+    ~reset:Absint.reset_fixpoint_rounds (fun () ->
+      [ ("fixpoint-rounds", Absint.fixpoint_rounds ()) ]);
   (* the mapper's search-effort atomics surface under the schedule pass *)
   Pipeline.register_counter_source ~pass:"schedule"
     ~reset:Mapper.reset_counters (fun () ->

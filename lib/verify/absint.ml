@@ -68,6 +68,12 @@ module type DOMAIN = sig
     ctx -> cell array -> Instr.t -> (Finding.severity * string * string) list
 end
 
+(* fixpoint rounds run by every analysis, process-wide: an atomic, so it
+   stays exact under the domain pool *)
+let rounds = Atomic.make 0
+let fixpoint_rounds () = Atomic.get rounds
+let reset_fixpoint_rounds () = Atomic.set rounds 0
+
 module Make (D : DOMAIN) = struct
   let cell_top = D.to_cell D.top
 
@@ -113,6 +119,28 @@ module Make (D : DOMAIN) = struct
       body;
     values
 
+  (* Does any instruction the driver evaluates read the loop-control
+     skeleton as data?  [eval_body] decides what is read: [Const], [Input],
+     [Load] and [Fused] read no operands (a load's address is not data),
+     [Store] reads only its value, every other op reads all of its
+     operands.  Exports read their instruction.  The skeleton's own
+     instructions may read one another. *)
+  let reads_skeleton ~body ~skeleton (loop : Kernel.loop) =
+    let in_skeleton id = List.mem id skeleton in
+    Array.exists
+      (fun (i : Instr.t) ->
+        (not (in_skeleton i.Instr.id))
+        &&
+        match i.Instr.op with
+        | Op.Const _ | Op.Input _ | Op.Load _ | Op.Fused _ -> false
+        | Op.Store _ -> (
+            match List.nth_opt i.Instr.args 1 with
+            | Some v -> in_skeleton v
+            | None -> false)
+        | _ -> List.exists in_skeleton i.Instr.args)
+      body
+    || List.exists (fun (_, id) -> in_skeleton id) loop.Kernel.exports
+
   (* Abstract execution of one loop.  The transfer function is iterated
      with accumulating joins until it stabilizes or [trip_max] rounds have
      run.  Because every concrete execution performs at most [trip_max]
@@ -120,7 +148,21 @@ module Make (D : DOMAIN) = struct
      concrete run of up to k trips — so stopping at the cap needs no
      widening heuristics and the result is still a sound invariant.
      Monotone accumulators (reduction sums) simply walk to their
-     trip-bounded extreme; multiplicative blowups walk to infinity. *)
+     trip-bounded extreme; multiplicative blowups walk to infinity.
+
+     Stopping rule.  The induction phi grows by one every round, so a test
+     over every cell would never stop before the cap.  When the data path
+     is decoupled from the skeleton (nothing it evaluates, stores or
+     exports reads a skeleton cell), the skeleton cells are left out of the
+     stability test.  Exactness: each round's data cells are a function of
+     the previous round's data cells and the fixed inputs alone, so once
+     they repeat, every later round reproduces them and the cap would
+     return the same data cells.  Skeleton cells are then less far along
+     than at the cap, but nothing downstream reads them: they are excluded
+     from checks, and stores and exports are data.  Affine symbols never
+     cross loops (loops hand over cells), so allocating fewer of them
+     shifts no later loop's arithmetic.  A coupled loop keeps the test over
+     every cell and so runs to the cap. *)
   let analyze_loop cx ~streams ~scalars ~body ~skeleton (loop : Kernel.loop) =
     let count = Array.length body in
     let scalars = ref scalars in
@@ -162,6 +204,12 @@ module Make (D : DOMAIN) = struct
         in
         D.of_cell cx (D.join (D.to_cell init) (D.join s.(id) carried))
     in
+    let watched =
+      let coupled = reads_skeleton ~body ~skeleton loop in
+      List.init count Fun.id
+      |> List.filter (fun id -> coupled || not (List.mem id skeleton))
+      |> Array.of_list
+    in
     let iters = ref 0 in
     let stable = ref false in
     while (not !stable) && !iters <= trip_max do
@@ -170,11 +218,14 @@ module Make (D : DOMAIN) = struct
         if !first then Array.map D.to_cell values
         else Array.mapi (fun i v -> D.join !state.(i) (D.to_cell v)) values
       in
-      stable := (not !first) && Array.for_all2 D.equal !state joined;
+      stable :=
+        (not !first)
+        && Array.for_all (fun id -> D.equal !state.(id) joined.(id)) watched;
       first := false;
       state := joined;
       incr iters
     done;
+    ignore (Atomic.fetch_and_add rounds !iters);
     let cells = !state in
     (* record stores and exports for downstream loops *)
     Array.iter

@@ -6,7 +6,9 @@
     differ only in their abstract domain; everything else lives here once:
     the trip-count seed of the loop-control skeleton, the between-loop
     scalar glue, stream and scalar lookup, phi joins, the trip-bounded
-    accumulating-join fixpoint, store and export recording, the fold over a
+    accumulating-join fixpoint (ended early, and exactly, once a data path
+    that never reads the loop-control skeleton stops changing), store and
+    export recording, the fold over a
     kernel's loops, and the walk that turns per-instruction checks into
     {!Finding.t} values.
 
@@ -26,6 +28,14 @@ val shift_exp_pow : float -> float -> float * float
     field the FP2FX unit produces. *)
 
 type input = Stream | Scalar
+
+val fixpoint_rounds : unit -> int
+(** Fixpoint rounds run so far by every analysis built on this driver, in
+    every loop, summed process-wide.  An atomic, so it stays exact under
+    the domain pool; attributing rounds to one analysis is the caller's
+    business (reset, run, read). *)
+
+val reset_fixpoint_rounds : unit -> unit
 
 val report :
   Finding.severity ->

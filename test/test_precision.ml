@@ -22,6 +22,7 @@ module Affine = Picachu_verify.Affine
 module Precision = Picachu_verify.Precision
 module Range = Picachu_verify.Range
 module Finding = Picachu_verify.Finding
+module Absint = Picachu_verify.Absint
 module Parallel = Picachu_parallel.Parallel
 open Picachu
 
@@ -270,6 +271,108 @@ let test_claims_cover_roster () =
   Alcotest.(check int) "every format proves on some kernel"
     (List.length Numfmt.catalogue) (List.length formats)
 
+(* ------------------------------------------------------ fixpoint stopping *)
+
+let taylor name = List.find (fun k -> k.Kernel.name = name) roster
+
+(* fixpoint rounds [Precision.analyze] runs over all of [k]'s loops *)
+let rounds_under fmt (k : Kernel.t) =
+  Absint.reset_fixpoint_rounds ();
+  ignore (Precision.analyze ~fmt k);
+  Absint.fixpoint_rounds ()
+
+let test_elementwise_loops_settle () =
+  (* the induction phi grows every round, but no data op reads it: the
+     fixpoint ends once the data cells repeat, not at the trip cap *)
+  List.iter
+    (fun name ->
+      let k = taylor name in
+      let cap = 3 * List.length k.Kernel.loops in
+      List.iter
+        (fun fmt ->
+          let r = rounds_under fmt k in
+          if r > cap then
+            Alcotest.failf "%s under %s: %d rounds, at most %d expected" name
+              (Numfmt.name fmt) r cap)
+        Numfmt.catalogue)
+    [ "relu"; "gelu"; "rope" ]
+
+let test_reduction_walks_to_cap () =
+  (* softmax's sum grows every round: its loop must run all 1025 rounds
+     (the trip cap plus the first), never cut short.  Its rounds are the
+     difference between analysing the first two loops and the first one. *)
+  let k = taylor "softmax" in
+  let prefix n = { k with Kernel.loops = List.filteri (fun i _ -> i < n) k.Kernel.loops } in
+  List.iter
+    (fun fmt ->
+      Alcotest.(check int)
+        (Printf.sprintf "softmax.2 rounds under %s" (Numfmt.name fmt))
+        1025
+        (rounds_under fmt (prefix 2) - rounds_under fmt (prefix 1)))
+    Numfmt.catalogue
+
+(* y[i] = max(i, 1000): a data op reads the induction phi and stores the
+   result.  Its cell sits at [1000, 1000] until the phi passes 1000, so a
+   stopping test that ignored the skeleton here would end the walk at
+   round 2 with the wrong answer.  Built by hand — [Kernel.validate]
+   rejects it — so only the analyses see it. *)
+let iv_as_data =
+  let i id op args = Instr.make ~id ~op ~args () in
+  {
+    Kernel.name = "iv-as-data";
+    klass = Kernel.EO;
+    inputs = [];
+    outputs = [ "y" ];
+    scalar_inputs = [ "n" ];
+    loops =
+      [
+        {
+          Kernel.label = "iv.1";
+          pre = [];
+          reduction = false;
+          exports = [];
+          step = 1;
+          vector_width = 1;
+          body =
+            [
+              i 0 (Op.Const 0.0) [];
+              i 1 Op.Phi [ 0; 6 ];
+              i 2 (Op.Const 1000.0) [];
+              i 3 (Op.Bin Op.Max) [ 1; 2 ];
+              i 4 (Op.Store "y") [ 1; 3 ];
+              i 5 (Op.Const 1.0) [];
+              i 6 (Op.Bin Op.Add) [ 1; 5 ];
+              i 7 (Op.Input "n") [];
+              i 8 (Op.Cmp Op.Lt) [ 6; 7 ];
+              i 9 Op.Br [ 8 ];
+            ];
+        };
+      ];
+  }
+
+let test_coupled_loop_walks_to_cap () =
+  (* when data reads the skeleton, skeleton cells stay in the stability
+     test, so the walk reaches the trip-bounded extreme: y covers 1024 *)
+  Alcotest.(check bool) "validate rejects it" true
+    (Result.is_error (Kernel.validate iv_as_data));
+  let r = Precision.analyze ~fmt:Numfmt.Fp32 iv_as_data in
+  let _, (_, hi), _ = List.find (fun (s, _, _) -> s = "y") r.Precision.outputs in
+  if hi < 1023.0 then Alcotest.failf "precision: stored hi %g < 1023" hi;
+  (* Range reports only findings: the max overflows Q8.8, and its message
+     carries the full trip-bounded interval *)
+  let expected = "max range [1000, 1024]" in
+  match
+    List.find_opt
+      (fun (f : Finding.t) -> f.Finding.loc.Finding.node = Some 3)
+      (Range.analyze iv_as_data)
+  with
+  | Some f ->
+      let m = f.Finding.message in
+      let n = String.length expected in
+      if not (String.length m >= n && String.sub m 0 n = expected) then
+        Alcotest.failf "range: %S does not start %S" m expected
+  | None -> Alcotest.fail "range: no finding on the max"
+
 (* -------------------------------------------------------------- findings *)
 
 let test_findings_deterministic_across_pools () =
@@ -317,6 +420,12 @@ let suite =
         Alcotest.test_case "rounder quantizes outputs" `Quick
           test_rounder_quantizes_outputs;
         Alcotest.test_case "claims cover roster" `Quick test_claims_cover_roster;
+        Alcotest.test_case "element-wise loops settle early" `Quick
+          test_elementwise_loops_settle;
+        Alcotest.test_case "reduction walks to the cap" `Quick
+          test_reduction_walks_to_cap;
+        Alcotest.test_case "coupled loop walks to the cap" `Quick
+          test_coupled_loop_walks_to_cap;
         soundness_at_pool 1;
         soundness_at_pool 2;
         soundness_at_pool 4;

@@ -138,6 +138,61 @@ let test_line_numbers_in_errors () =
       Alcotest.(check bool) "mentions line 3" true
         (String.length msg >= 6 && String.sub msg 0 6 = "line 3"))
 
+(* [src] with the first occurrence of [a] replaced by [b] (the edit a
+   `sed s/a/b/` makes on these one-occurrence sources) *)
+let replace_first a b src =
+  let la = String.length a and ls = String.length src in
+  let rec at i =
+    if i + la > ls then Alcotest.failf "%S not in source" a
+    else if String.sub src i la = a then i
+    else at (i + 1)
+  in
+  let i = at 0 in
+  String.sub src 0 i ^ b ^ String.sub src (i + la) (ls - i - la)
+
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Edits of dumped library kernels that parse but must not validate, each
+   with the text its error must name.  Reading the induction variable as
+   data is what unrolling miscompiles (every copy would see copy 0's
+   index); a non-finite constant would reach the fabric as NaN/inf. *)
+let test_validation_rejects_edits () =
+  let relu = Kernel_text.to_string (Kernels.relu Kernels.picachu) in
+  let layernorm = Kernel_text.to_string (Kernels.layernorm Kernels.picachu) in
+  let cases =
+    [
+      ( "iv read as data",
+        replace_first "%4 = select %3 %2 %0" "%4 = mul %2 %1" relu,
+        "instruction %4 (mul) reads the induction variable %1" );
+      ( "nan constant",
+        replace_first "const 0x0p+0" "const nan" relu,
+        "instruction %0 (const): non-finite constant nan" );
+      ( "infinite constant",
+        replace_first "const 0x0p+0" "const infinity" relu,
+        "instruction %0 (const): non-finite constant inf" );
+      ( "iv exported",
+        replace_first "export sum = %4" "export sum = %1" layernorm,
+        "export sum reads the induction variable %1" );
+      ( "nan glue constant",
+        replace_first "0x1.4f8b588e368f1p-17" "nan" layernorm,
+        "pre inv_sigma: non-finite constant" );
+    ]
+  in
+  List.iter
+    (fun (what, src, expected) ->
+      match Kernel_text.of_string src with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Kernel_text.Parse_error msg ->
+          if not (contains msg expected) then
+            Alcotest.failf "%s: error %S does not name %S" what msg expected)
+    cases;
+  (* the unedited sources still parse *)
+  ignore (Kernel_text.of_string relu);
+  ignore (Kernel_text.of_string layernorm)
+
 (* random-kernel roundtrip: reuse the fuzz generator *)
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"text roundtrip on random kernels" ~count:80 QCheck.small_nat
@@ -155,6 +210,8 @@ let suite =
         Alcotest.test_case "hand-written kernel runs" `Quick test_handwritten_valid;
         Alcotest.test_case "glue expressions" `Quick test_pre_expressions_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
+        Alcotest.test_case "validation rejects edits" `Quick
+          test_validation_rejects_edits;
         Alcotest.test_case "error line numbers" `Quick test_line_numbers_in_errors;
         qtest prop_roundtrip_random;
       ] );
