@@ -28,10 +28,15 @@ dune exec bin/picachu_cli.exe -- stats --sweep-effort 1200
 
 echo "== static verification sweep =="
 # whole kernel library through the independent verifier (IR lint, DFG
-# invariants, schedule validation, range analysis, and the affine
-# precision analysis under each kernel's selected format); non-zero exit
-# on any Error-severity finding
-dune exec bin/picachu_cli.exe -- lint --precision
+# invariants, schedule validation, and the affine precision analysis at
+# each kernel's selected format); non-zero exit on any Error-severity
+# finding, and one precision verdict per kernel
+lint_out="$(dune exec bin/picachu_cli.exe -- lint)"
+echo "$lint_out"
+echo "$lint_out" | grep -q "^24 kernel(s): 0 error(s)" || {
+  echo "lint: the library summary is not 24 kernel(s): 0 error(s)"; exit 1; }
+[ "$(echo "$lint_out" | grep -c "^  precision: ")" -eq 24 ] || {
+  echo "lint: expected 24 precision verdicts"; exit 1; }
 
 echo "== format selection smoke =="
 # the proven-bound ladder must pick a sub-16-bit format for at least one

@@ -4,9 +4,8 @@
      experiments [ID...]   reproduce the paper's tables/figures (default all)
      compile KERNEL        compile a library kernel and show IR/DFG/mapping
      stats                 per-pass pipeline stats + cache effectiveness check
-     lint [KERNEL...]      static verification sweep (default: whole library);
-                           --precision adds the affine-arithmetic error
-                           analysis under each kernel's selected format
+     lint [KERNEL...]      static verification sweep (default: whole library),
+                           precision analysis at each kernel's selected format
      formats [KERNEL...]   proven-bound automatic format selection table
      arch                  print the architecture instances and cost model
      models [--seq N]      print the workload inventory of the LLM zoo
@@ -30,7 +29,6 @@ module Mz = Picachu_llm.Model_zoo
 module Workload = Picachu_llm.Workload
 module Dataflow = Picachu_memory.Dataflow
 module Verify = Picachu_verify.Verify
-module Range = Picachu_verify.Range
 module Finding = Picachu_verify.Finding
 module Precision = Picachu_verify.Precision
 module Numfmt = Picachu_numerics.Numfmt
@@ -216,17 +214,7 @@ let lint_cmd =
            ~doc:"Kernels to verify (default: the whole library, both variants, \
                  plus the future-operation extras).")
   in
-  let verbose =
-    Arg.(value & flag & info [ "verbose"; "v" ]
-           ~doc:"Also print Info-severity findings (precision advisories).")
-  in
-  let precision =
-    Arg.(value & flag & info [ "precision" ]
-           ~doc:"Also run the affine-arithmetic precision analysis: select \
-                 each kernel's format against \\$PICACHU_ERROR_BUDGET and \
-                 report the proven error bound and any prec-* findings.")
-  in
-  let run names verbose precision =
+  let run names =
     let library variant = Kernels.all variant @ Kernels.extras variant in
     let roster =
       match names with
@@ -246,7 +234,7 @@ let lint_cmd =
                   exit 2)
             names
     in
-    let errors = ref 0 and warnings = ref 0 and infos = ref 0 in
+    let errors = ref 0 and warnings = ref 0 in
     (* deterministic output: findings print in (severity, code, loc) order
        whatever evaluation order produced them *)
     let report findings =
@@ -254,10 +242,8 @@ let lint_cmd =
         (fun (f : Finding.t) ->
           (match f.Finding.severity with
           | Finding.Error -> incr errors
-          | Finding.Warning -> incr warnings
-          | Finding.Info -> incr infos);
-          if verbose || f.Finding.severity <> Finding.Info then
-            Format.printf "  %a@." Finding.pp f)
+          | Finding.Warning -> incr warnings);
+          Format.printf "  %a@." Finding.pp f)
         (Finding.sort findings)
     in
     List.iter
@@ -281,33 +267,31 @@ let lint_cmd =
         | Error e ->
             incr errors;
             Printf.printf "  error[compile] %s\n" (Picachu_error.to_string e));
-        report (Range.analyze k);
-        if precision then begin
-          let c = Compiler.select_format k in
-          let r = Precision.analyze ~fmt:c.Precision.fmt k in
-          report r.Precision.findings;
-          Printf.printf "  precision: %s (%d bits) proven bound %s budget %g%s\n"
-            (Numfmt.name c.Precision.fmt)
-            (Numfmt.bits c.Precision.fmt)
-            (if Float.is_finite c.Precision.bound then
-               Printf.sprintf "%.3g" c.Precision.bound
-             else "unbounded")
-            c.Precision.budget
-            (if c.Precision.fallback then " [fallback]" else "")
-        end)
+        let c = Compiler.select_format k in
+        let r = Precision.analyze ~fmt:c.Precision.fmt k in
+        report r.Precision.findings;
+        Printf.printf "  precision: %s (%d bits) proven bound %s budget %g%s\n"
+          (Numfmt.name c.Precision.fmt)
+          (Numfmt.bits c.Precision.fmt)
+          (if Float.is_finite c.Precision.bound then
+             Printf.sprintf "%.3g" c.Precision.bound
+           else "unbounded")
+          c.Precision.budget
+          (if c.Precision.fallback then " [fallback]" else ""))
       roster;
-    Printf.printf "%d kernel(s): %d error(s), %d warning(s), %d advisory(ies)\n"
-      (List.length roster) !errors !warnings !infos;
+    Printf.printf "%d kernel(s): %d error(s), %d warning(s)\n"
+      (List.length roster) !errors !warnings;
     if !errors > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Run the independent static verifier (IR lint, DFG invariants, \
-             schedule validation, fixed-point range analysis, and with \
-             $(b,--precision) the affine-arithmetic error analysis) over \
-             library kernels.  Exits non-zero when any Error-severity \
-             finding survives.")
-    Term.(const run $ kernels_arg $ verbose $ precision)
+             schedule validation) over library kernels, then select each \
+             kernel's format against \\$PICACHU_ERROR_BUDGET and report \
+             the affine-arithmetic precision analysis at that format: the \
+             proven error bound and any prec-* findings.  Exits non-zero \
+             when any Error-severity finding survives.")
+    Term.(const run $ kernels_arg)
 
 (* --------------------------------------------------------------- formats *)
 

@@ -38,7 +38,7 @@ val v :
   ('a, 'b) t
 (** [v ~name ?post ?dump f] — an instrumented pass.  [post] is the
     artifact's independent validator (Error findings gate when verification
-    is enabled; Warnings/Info are advisory and ignored here).  [dump]
+    is enabled; Warnings are advisory and ignored here).  [dump]
     serializes the artifact for [--dump-after]. *)
 
 val ( >>> ) : ('a, 'b) t -> ('b, 'c) t -> ('a, 'c) t

@@ -29,13 +29,6 @@ let skeleton_ids (body : Instr.t array) =
           | _ -> [ br.Instr.id; cmp_id ])
       | _ -> [ br.Instr.id ])
 
-(* 2^round(e) with the exponent clamped to the FP32 field the FP2FX unit
-   produces *)
-let shift_exp_pow elo ehi =
-  let clamp v = Float.max (-150.0) (Float.min 129.0 v) in
-  ( Float.ldexp 1.0 (int_of_float (Float.floor (clamp (elo -. 0.5)))),
-    Float.ldexp 1.0 (int_of_float (Float.ceil (clamp (ehi +. 0.5)))) )
-
 type input = Stream | Scalar
 
 let report sev code fmt = Printf.ksprintf (fun m -> [ (sev, code, m) ]) fmt

@@ -1,15 +1,15 @@
-(** The abstract-interpretation driver shared by the static analyses over
-    the kernel IR.
+(** The abstract-interpretation driver under the static precision
+    analysis of the kernel IR.
 
-    {!Range} (intervals against a Q format) and {!Precision} (affine ideal
-    value plus error radius against a {!Picachu_numerics.Numfmt} format)
-    differ only in their abstract domain; everything else lives here once:
-    the trip-count seed of the loop-control skeleton, the between-loop
-    scalar glue, stream and scalar lookup, phi joins, the trip-bounded
-    accumulating-join fixpoint (ended early, and exactly, once a data path
-    that never reads the loop-control skeleton stops changing), store and
-    export recording, the fold over a
-    kernel's loops, and the walk that turns per-instruction checks into
+    The abstract domain is the functor parameter ({!Precision} supplies
+    an affine ideal value plus an error radius against a
+    {!Picachu_numerics.Numfmt} format); the fixpoint algorithm lives here,
+    apart from the transfer rules: the trip-count seed of the loop-control
+    skeleton, the between-loop scalar glue, stream and scalar lookup, phi
+    joins, the trip-bounded accumulating-join fixpoint (ended early, and
+    exactly, once a data path that never reads the loop-control skeleton
+    stops changing), store and export recording, the fold over a kernel's
+    loops, and the walk that turns per-instruction checks into
     {!Finding.t} values.
 
     Inputs are fixed, not configured: every input stream element and every
@@ -21,11 +21,6 @@ val skeleton_ids : Picachu_ir.Instr.t array -> int list
     induction increment/phi and the trip-count register) — the integer
     control path excluded from data-path checks and from rounding.
     Derived independently of {!Picachu_ir.Transform.find_skeleton}. *)
-
-val shift_exp_pow : float -> float -> float * float
-(** [shift_exp_pow elo ehi] bounds the power [2^round(e)] a [Shift_exp]
-    multiplies by, for an exponent in [[elo, ehi]] clamped to the FP32
-    field the FP2FX unit produces. *)
 
 type input = Stream | Scalar
 

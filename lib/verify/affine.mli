@@ -33,26 +33,19 @@ val of_interval : ctx -> float -> float -> t
 val interval : t -> float * float
 (** Enclosing interval [c ± radius]. *)
 
-val radius : t -> float
-val is_finite : t -> bool
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
-val scale : float -> t -> t
-val add_const : float -> t -> t
 
 val mul : t -> t -> t
 (** Affine product with the quadratic remainder lumped into [rad].
     Physically equal arguments use the square rule ([Dx·Dx ∈ [0, R²]],
     recentered), proving [x*x >= 0]. *)
 
-val inv : ctx -> t -> t
-(** [1/x] by min-range linearization over a provably zero-free interval
-    (keeps the operand's symbols); {!top} when the interval straddles
-    zero. *)
-
 val div : ctx -> t -> t -> t
+(** [a * (1/b)], with [1/b] by min-range linearization over a provably
+    zero-free interval (keeps [b]'s symbols, so a quotient of correlated
+    forms stays tight); {!top} when [b]'s interval straddles zero. *)
 
 val join : ctx -> t -> t -> t
 (** Interval hull as a fresh form (correlation with the operands is

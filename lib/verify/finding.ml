@@ -1,5 +1,5 @@
-type severity = Error | Warning | Info
-type pass = Lint | Dfg_check | Schedule_check | Range_check | Precision_check
+type severity = Error | Warning
+type pass = Lint | Dfg_check | Schedule_check | Precision_check
 
 type loc = {
   kernel : string option;
@@ -15,20 +15,17 @@ type t = {
   message : string;
 }
 
-let no_loc = { kernel = None; loop = None; node = None }
-
 let make ?kernel ?loop ?node pass severity ~code fmt =
   Printf.ksprintf
     (fun message -> { pass; severity; code; loc = { kernel; loop; node }; message })
     fmt
 
-let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"
+let severity_name = function Error -> "error" | Warning -> "warning"
 
 let pass_name = function
   | Lint -> "lint"
   | Dfg_check -> "dfg"
   | Schedule_check -> "schedule"
-  | Range_check -> "range"
   | Precision_check -> "precision"
 
 let pp_loc fmt loc =
@@ -50,7 +47,7 @@ let pp fmt f =
 
 let to_string f = Format.asprintf "%a" pp f
 
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
+let severity_rank = function Error -> 0 | Warning -> 1
 
 (* total order so finding lists print identically whatever the evaluation
    order (domain-pool sizes, roster sweep parallelism) that produced them *)
@@ -63,6 +60,5 @@ let compare a b =
 
 let sort fs = List.sort compare fs
 let errors fs = List.filter (fun f -> f.severity = Error) fs
-let count sev fs = List.length (List.filter (fun f -> f.severity = sev) fs)
 let has_code code fs = List.exists (fun f -> f.code = code) fs
 let codes fs = List.sort_uniq Stdlib.compare (List.map (fun f -> f.code) fs)

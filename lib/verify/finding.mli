@@ -1,14 +1,15 @@
 (** Typed findings produced by the static-verification passes.
 
-    Every pass of {!Verify} and {!Range} reports through this one channel: a
-    finding carries the pass that produced it, a severity, a stable
-    machine-readable [code] (e.g. ["slot-collision"], ["fx-overflow"]) that
-    tests and mutant oracles key on, a pretty-printable location, and a
-    human-readable message. *)
+    Every pass of {!Verify} and {!Precision} reports through this one
+    channel: a finding carries the pass that produced it, a severity (an
+    Error fails the compile gate and [picachu lint]; a Warning is
+    advisory), a stable machine-readable [code] (e.g. ["slot-collision"],
+    ["prec-overflow"]) that tests and mutant oracles key on, a
+    pretty-printable location, and a human-readable message. *)
 
-type severity = Error | Warning | Info
+type severity = Error | Warning
 
-type pass = Lint | Dfg_check | Schedule_check | Range_check | Precision_check
+type pass = Lint | Dfg_check | Schedule_check | Precision_check
 
 type loc = {
   kernel : string option;
@@ -23,8 +24,6 @@ type t = {
   loc : loc;
   message : string;
 }
-
-val no_loc : loc
 
 val make :
   ?kernel:string ->
@@ -56,7 +55,6 @@ val errors : t list -> t list
 (** The Error-severity subset — what gates compilation and the lint CLI's
     exit code. *)
 
-val count : severity -> t list -> int
 val has_code : string -> t list -> bool
 val codes : t list -> string list
 (** Distinct codes present, sorted. *)

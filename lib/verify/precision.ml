@@ -13,12 +13,11 @@ module Lut_catalog = Picachu_numerics.Lut_catalog
    magnitudes the error transfer functions need (and tracks correlations
    the interval domain cannot, e.g. x*x >= 0); the error component
    composes per-op propagation rules with one fresh rounding quantum per
-   quantized op.  Constants live in wide configuration registers (the
-   Range convention) and scalar live-ins are host-side exact; both carry
-   zero error.  The result is a guaranteed per-instruction bound with no
-   execution involved — soundness is separately enforced by the qcheck
-   harness in the test suite, which compares bit-accurate runs against the
-   claimed bounds. *)
+   quantized op.  Constants live in wide configuration registers and
+   scalar live-ins are host-side exact; both carry zero error.  The result
+   is a guaranteed per-instruction bound with no execution involved —
+   soundness is separately enforced by the qcheck harness in the test
+   suite, which compares bit-accurate runs against the claimed bounds. *)
 
 (* ------------------------------------------------- quantization contract *)
 
@@ -83,6 +82,13 @@ let slack = 1e-9
 let inflate x = if Float.is_finite x then x *. (1.0 +. slack) else x
 
 (* ------------------------------------------------------------ op transfer *)
+
+(* 2^round(e) with the exponent clamped to the FP32 field the FP2FX unit
+   produces *)
+let shift_exp_pow elo ehi =
+  let clamp v = Float.max (-150.0) (Float.min 129.0 v) in
+  ( Float.ldexp 1.0 (int_of_float (Float.floor (clamp (elo -. 0.5)))),
+    Float.ldexp 1.0 (int_of_float (Float.ceil (clamp (ehi +. 0.5)))) )
 
 (* exact-arithmetic binop with error propagation: shared by the data path
    (which then rounds through [finish]) and the host-side scalar glue *)
@@ -200,7 +206,7 @@ let transfer { cx; fmt } ~(body : Instr.t array) ~(value : int -> aval)
     | Op.Shift_exp ->
         let a = arg 0 and e = arg 1 in
         let alo, ahi = Affine.interval a.av and elo, ehi = Affine.interval e.av in
-        let p_lo, p_hi = Absint.shift_exp_pow elo ehi in
+        let p_lo, p_hi = shift_exp_pow elo ehi in
         let av =
           if Float.is_finite elo && Float.is_finite ehi then
             let cands = [ alo *. p_lo; alo *. p_hi; ahi *. p_lo; ahi *. p_hi ] in
@@ -251,7 +257,10 @@ let check { fmt; _ } (cells : cell array) (i : Instr.t) =
       | Op.Bin Op.Div, Some a when a >= 0 && a < Array.length cells ->
           let d = cells.(a) in
           let bmin = zero_distance d.lo d.hi in
-          if bmin > 0.0 && bmin <= d.err then
+          if bmin = 0.0 then
+            Absint.report Finding.Warning "prec-div-error"
+              "divisor interval [%g, %g] contains zero" d.lo d.hi
+          else if bmin <= d.err then
             Absint.report Finding.Warning "prec-div-error"
               "divisor stays %g from zero but carries error %g" bmin d.err
           else []
@@ -259,7 +268,16 @@ let check { fmt; _ } (cells : cell array) (i : Instr.t) =
     in
     let mx = Numfmt.max_value fmt in
     let fits =
-      if not (Float.is_finite c.lo && Float.is_finite c.hi && Float.is_finite c.err)
+      (* a finite ideal range already past the format is the root cause;
+         the infinite error [finish] then charges is its consequence *)
+      if
+        Float.is_finite c.lo && Float.is_finite c.hi
+        && inflate (Float.max (Float.abs c.lo) (Float.abs c.hi)) > mx
+      then
+        Absint.report Finding.Warning "prec-overflow"
+          "%s range [%g, %g] exceeds %s max %g" name c.lo c.hi (Numfmt.name fmt) mx
+      else if
+        not (Float.is_finite c.lo && Float.is_finite c.hi && Float.is_finite c.err)
       then
         Absint.report Finding.Warning "prec-unbounded"
           "%s has no finite error bound under %s (value [%g, %g], error %g)" name

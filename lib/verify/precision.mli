@@ -5,11 +5,15 @@
     (the dataflow evaluated in exact real arithmetic on the same quantized
     inputs) and an error radius bounding [|finite - ideal|] for a machine
     that rounds every computed data-path result through a {!Numfmt} format.
-    Loops run through the same {!Absint} driver as {!Range} (inputs in
-    [[-2, 2]], trip-bounded accumulating-join fixpoint); every quantized
-    op contributes one fresh rounding quantum at its proven magnitude, and
-    an op whose finite value may leave the format loses its bound
-    (reported as [prec-overflow] / [prec-unbounded]).
+    Loops run through the {!Absint} driver (inputs in [[-2, 2]],
+    trip-bounded accumulating-join fixpoint); every quantized op
+    contributes one fresh rounding quantum at its proven magnitude, and an
+    op whose finite value may leave the format loses its bound.  Findings:
+    [prec-overflow] when the value range (or range plus error) exceeds the
+    format, [prec-unbounded] when no finite range or error bound is
+    proven, and [prec-div-error] when a divisor's interval contains zero
+    or its error reaches its distance from zero.  This is the analysis
+    [picachu lint] runs, at each kernel's selected format.
 
     The per-kernel {!result.bound} is a *guaranteed* worst-case output
     error — no execution involved; the qcheck soundness harness in the test

@@ -22,7 +22,8 @@
 
     Every check reports through {!Finding.t}; Error-severity findings are
     what the [PICACHU_VERIFY] compile gate and the [picachu lint] CLI act
-    on.  {!Range} holds the companion fixed-point range analysis. *)
+    on.  {!Precision} holds the companion static error analysis that
+    [picachu lint] runs at each kernel's selected format. *)
 
 val enabled : unit -> bool
 (** True when the [PICACHU_VERIFY] environment knob is set (to [1], [true],

@@ -207,9 +207,10 @@ let prop_verifier_oracle =
               | [] -> ()
               | f :: _ -> QCheck.Test.fail_reportf "verify: %s" (Finding.to_string f))
             c.Compiler.loops;
-          (* the range analysis must terminate and never crash, whatever the
-             generator dreamt up *)
-          ignore (Picachu_verify.Range.analyze k : Finding.t list);
+          (* format selection (the precision analysis in every catalogue
+             format) must terminate and never crash, whatever the generator
+             dreamt up *)
+          ignore (Picachu_verify.Precision.select_format k);
           true)
 
 let prop_fusion_structural_on_random =

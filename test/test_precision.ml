@@ -3,9 +3,9 @@
 
    Three angles:
    - the affine domain itself beats intervals where it should: [x - x] is
-     exactly zero, the square rule proves [x*x >= 0], and a pinned roster
-     kernel (rope at Q4.8) fits a format the interval analysis cannot
-     justify.
+     exactly zero, the square rule proves [x*x >= 0], every transfer
+     operation encloses its concrete result, and a pinned roster kernel
+     (rope at Q4.8) fits a format plain intervals cannot justify.
    - format selection: the ladder picks a sub-Q16 format for kernels the
      analysis proves tight (relu -> fp8_e4m3 at bound 0, gelu -> q4.8) and
      falls back honestly where nothing proves (softmax).
@@ -17,10 +17,8 @@
 
 open Picachu_ir
 module Numfmt = Picachu_numerics.Numfmt
-module Fx = Picachu_numerics.Fixed_point
 module Affine = Picachu_verify.Affine
 module Precision = Picachu_verify.Precision
-module Range = Picachu_verify.Range
 module Finding = Picachu_verify.Finding
 module Absint = Picachu_verify.Absint
 module Parallel = Picachu_parallel.Parallel
@@ -51,9 +49,10 @@ let test_affine_square_nonnegative () =
   let lo, hi = Affine.interval (Affine.mul x x) in
   Alcotest.(check bool) "x*x lower bound >= 0" true (lo >= 0.0);
   Alcotest.(check bool) "x*x upper bound <= 4" true (hi <= 4.0 +. 1e-12);
-  (* sanity on the interval side: plain Range multiplication stays signed *)
-  let r = Range.binop_i Op.Mul (Range.make (-2.0) 2.0) (Range.make (-2.0) 2.0) in
-  Alcotest.(check bool) "interval mul cannot prove it" true (r.Range.lo < 0.0)
+  (* the same ranges without the shared symbol multiply like intervals *)
+  let y = Affine.of_interval ctx (-2.0) 2.0 in
+  let lo', _ = Affine.interval (Affine.mul x y) in
+  Alcotest.(check bool) "uncorrelated product stays signed" true (lo' < 0.0)
 
 let prop_affine_mul_sound =
   QCheck.Test.make ~name:"affine mul encloses concrete product" ~count:500
@@ -73,17 +72,81 @@ let prop_affine_mul_sound =
             [ cb -. wb; cb; cb +. wb ])
         [ ca -. wa; ca; ca +. wa ])
 
-(* ------------------------------------------- affine beats intervals: rope *)
+(* Every Affine operation the transfer rules use encloses its concrete
+   result.  Operands are drawn three ways: on fresh symbols, sharing a
+   symbol through a sum ([b = a + c]) or a sign flip ([b = -a]), and
+   physically equal ([b == a], which takes the square and identity
+   rules).  Concrete values come from the symbol grid {-1, -1/2, 0, 1/2, 1}
+   plus one random point. *)
+let prop_affine_ops_sound =
+  QCheck.Test.make ~name:"affine ops enclose concrete results" ~count:300
+    QCheck.(
+      pair
+        (quad (float_range (-8.0) 8.0) (float_range 0.0 4.0)
+           (float_range (-8.0) 8.0) (float_range 0.0 4.0))
+        (pair (float_range (-1.0) 1.0) (float_range (-1.0) 1.0)))
+    (fun ((ca, wa, cb, wb), (r1, r2)) ->
+      let ctx = Affine.ctx () in
+      let a = Affine.of_interval ctx (ca -. wa) (ca +. wa) in
+      let c = Affine.of_interval ctx (cb -. wb) (cb +. wb) in
+      (* (b, concrete b) for a concrete a = x and c = z *)
+      let operands =
+        [
+          (c, fun _ z -> z);
+          (Affine.add a c, fun x z -> x +. z);
+          (Affine.neg a, fun x _ -> -.x);
+          (a, fun x _ -> x);
+        ]
+      in
+      let inside name form v =
+        let lo, hi = Affine.interval form in
+        let tol = 1e-9 *. Float.max 1.0 (Float.abs v) in
+        v >= lo -. tol && v <= hi +. tol
+        || QCheck.Test.fail_reportf "%s: %g outside [%g, %g]" name v lo hi
+      in
+      let grid = [ -1.0; -0.5; 0.0; 0.5; 1.0 ] in
+      List.for_all
+        (fun (b, concrete_b) ->
+          let blo, bhi = Affine.interval b in
+          let binops =
+            [
+              ("add", Affine.add a b, ( +. ));
+              ("sub", Affine.sub a b, ( -. ));
+              ("mul", Affine.mul a b, ( *. ));
+              ("max_", Affine.max_ ctx a b, Float.max);
+              ("min_", Affine.min_ ctx a b, Float.min);
+            ]
+            @ (if blo > 0.0 || bhi < 0.0 then [ ("div", Affine.div ctx a b, ( /. )) ]
+               else [])
+          in
+          let unops =
+            [
+              ("abs", Affine.abs ctx b, Float.abs);
+              ("floor", Affine.floor ctx b, Float.floor);
+              ("neg", Affine.neg b, Float.neg);
+            ]
+          in
+          let join = Affine.join ctx a b in
+          List.for_all
+            (fun e1 ->
+              List.for_all
+                (fun e2 ->
+                  let x = ca +. (wa *. e1) and z = cb +. (wb *. e2) in
+                  let y = concrete_b x z in
+                  List.for_all (fun (n, f, op) -> inside n f (op x y)) binops
+                  && List.for_all (fun (n, f, op) -> inside n f (op y)) unops
+                  && inside "join a" join x && inside "join b" join y)
+                (r2 :: grid))
+            (r1 :: grid))
+        operands)
 
-let q4_8 = Fx.fmt ~total_bits:12 ~frac_bits:8
+(* ------------------------------------------- affine beats intervals: rope *)
 
 let test_rope_fits_narrower_than_intervals () =
   (* rope in Q4.8: cos/sin correlations make the rotated outputs provably
-     fit, but the interval analysis (which multiplies [-2,2]-ish ranges
-     outward) flags an overflow.  This is the acceptance separation case. *)
+     fit, where plain intervals (which multiply [-2,2]-ish ranges outward)
+     overflow the format. *)
   let k = List.find (fun k -> k.Kernel.name = "rope") roster in
-  Alcotest.(check bool) "interval analysis flags q4.8" false
-    (Range.safe ~fmt:q4_8 k);
   let fmt = Numfmt.fixed ~total_bits:12 ~frac_bits:8 in
   let r = Precision.analyze ~fmt k in
   Alcotest.(check bool) "precision proves q4.8 (no overflow finding)" false
@@ -358,20 +421,22 @@ let test_coupled_loop_walks_to_cap () =
   let r = Precision.analyze ~fmt:Numfmt.Fp32 iv_as_data in
   let _, (_, hi), _ = List.find (fun (s, _, _) -> s = "y") r.Precision.outputs in
   if hi < 1023.0 then Alcotest.failf "precision: stored hi %g < 1023" hi;
-  (* Range reports only findings: the max overflows Q8.8, and its message
-     carries the full trip-bounded interval *)
-  let expected = "max range [1000, 1024]" in
+  (* at Q8.8 the max overflows, and the finding carries the full
+     trip-bounded interval *)
+  let expected = "max range [1000, 1024] exceeds q8.8" in
+  let q8_8 = Numfmt.fixed ~total_bits:16 ~frac_bits:8 in
   match
     List.find_opt
       (fun (f : Finding.t) -> f.Finding.loc.Finding.node = Some 3)
-      (Range.analyze iv_as_data)
+      (Precision.analyze ~fmt:q8_8 iv_as_data).Precision.findings
   with
   | Some f ->
-      let m = f.Finding.message in
-      let n = String.length expected in
-      if not (String.length m >= n && String.sub m 0 n = expected) then
-        Alcotest.failf "range: %S does not start %S" m expected
-  | None -> Alcotest.fail "range: no finding on the max"
+      if
+        not
+          (f.Finding.code = "prec-overflow"
+          && String.starts_with ~prefix:expected f.Finding.message)
+      then Alcotest.failf "q8.8: %s does not start %S" (Finding.to_string f) expected
+  | None -> Alcotest.fail "q8.8: no finding on the max"
 
 (* -------------------------------------------------------------- findings *)
 
@@ -406,6 +471,7 @@ let suite =
         Alcotest.test_case "affine square rule beats intervals" `Quick
           test_affine_square_nonnegative;
         qtest prop_affine_mul_sound;
+        qtest prop_affine_ops_sound;
         Alcotest.test_case "rope fits q4.8 where intervals cannot" `Quick
           test_rope_fits_narrower_than_intervals;
         Alcotest.test_case "relu selects fp4_e2m1 at bound 0" `Quick

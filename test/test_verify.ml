@@ -10,20 +10,18 @@
      capability violations, timing violations, dishonest statistics, broken
      SSA, ...).  The verifier earns its keep only if it rejects what the
      mapper would never emit.
-   - range analysis: interval transfer functions, safe/flagged verdicts on
-     the library, and one-directional consistency with the interpreter — a
-     kernel the analysis calls safe must keep its outputs representable on
-     the standard test vectors. *)
+   - precision analysis: verdicts at Q8.8 on the library, overflow and
+     zero-divisor findings, and containment — every interpreter output on
+     the standard test vectors lies in the value interval the analysis
+     proves, in every catalogue format. *)
 
 open Picachu_ir
 module Dfg = Picachu_dfg.Dfg
 module Arch = Picachu_cgra.Arch
 module Mapper = Picachu_cgra.Mapper
 module Verify = Picachu_verify.Verify
-module Range = Picachu_verify.Range
 module Precision = Picachu_verify.Precision
 module Finding = Picachu_verify.Finding
-module Fx = Picachu_numerics.Fixed_point
 module Numfmt = Picachu_numerics.Numfmt
 module Parallel = Picachu_parallel.Parallel
 module Rng = Picachu_tensor.Rng
@@ -55,8 +53,8 @@ let fail_findings ctx = function
 (* ------------------------------------------------- positive: clean library *)
 
 (* Golden: zero structural findings of ANY severity across the library.
-   The range pass legitimately warns (reduction growth is real); the
-   structural passes must be silent — a new warning here is a regression
+   The precision analysis legitimately warns (reduction growth is real);
+   the structural passes must be silent — a new warning here is a regression
    either in the compiler or in the verifier's model of it. *)
 let test_library_clean () =
   let total = ref 0 in
@@ -75,14 +73,17 @@ let test_library_clean () =
     [ Kernels.picachu; Kernels.Baseline ];
   Alcotest.(check int) "structural findings across library" 0 !total
 
-(* The range pass may warn but must never produce Error-severity findings
+(* What [picachu lint] runs: the precision analysis at each kernel's
+   selected format may warn but must never produce Error-severity findings
    on the library (it is advisory), and must not crash on any kernel. *)
-let test_library_range_no_errors () =
+let test_library_precision_no_errors () =
   List.iter
     (fun variant ->
       List.iter
         (fun (k : Kernel.t) ->
-          fail_findings k.Kernel.name (Finding.errors (Range.analyze k)))
+          let c = Compiler.select_format k in
+          let r = Precision.analyze ~fmt:c.Precision.fmt k in
+          fail_findings k.Kernel.name (Finding.errors r.Precision.findings))
         (library variant))
     [ Kernels.picachu; Kernels.Baseline ]
 
@@ -442,68 +443,17 @@ let test_unroll_no_dead_consts () =
         (library Kernels.picachu))
     [ 2; 4 ]
 
-(* ----------------------------------------------------------- range analysis *)
-
-let test_interval_transfer () =
-  let open Range in
-  let i a b = make a b in
-  let check_itv name want got =
-    Alcotest.(check (pair (float 1e-9) (float 1e-9))) name want (got.lo, got.hi)
-  in
-  check_itv "mul sign grid" (-4.0, 4.0) (binop_i Op.Mul (i (-2.0) 2.0) (i (-2.0) 2.0));
-  check_itv "mul positive" (2.0, 12.0) (binop_i Op.Mul (i 1.0 3.0) (i 2.0 4.0));
-  check_itv "add" (-1.0, 5.0) (binop_i Op.Add (i 0.0 2.0) (i (-1.0) 3.0));
-  check_itv "sub" (-3.0, 3.0) (binop_i Op.Sub (i 0.0 2.0) (i (-1.0) 3.0));
-  check_itv "max" (1.0, 4.0) (binop_i Op.Max (i (-2.0) 4.0) (i 1.0 2.0));
-  check_itv "join" (-2.0, 4.0) (join (i (-2.0) 0.0) (i 1.0 4.0));
-  (* division by an interval containing zero is unbounded *)
-  Alcotest.(check bool) "div through zero unbounded" false
-    (is_finite (binop_i Op.Div (i 1.0 2.0) (i (-1.0) 1.0)));
-  Alcotest.(check bool) "div away from zero bounded" true
-    (is_finite (binop_i Op.Div (i 1.0 2.0) (i 2.0 4.0)))
-
-let test_interval_division_tightening () =
-  let open Range in
-  let i a b = make a b in
-  let check_itv name want got =
-    Alcotest.(check (pair (float 1e-9) (float 1e-9))) name want (got.lo, got.hi)
-  in
-  (* divisor provably positive: tight endpoint quotients, both dividend signs *)
-  check_itv "pos / pos" (0.25, 2.0) (binop_i Op.Div (i 1.0 4.0) (i 2.0 4.0));
-  check_itv "neg / pos" (-2.0, -0.25) (binop_i Op.Div (i (-4.0) (-1.0)) (i 2.0 4.0));
-  check_itv "mixed / pos" (-1.5, 2.0) (binop_i Op.Div (i (-3.0) 4.0) (i 2.0 4.0));
-  (* divisor provably negative: signs flip, still tight *)
-  check_itv "pos / neg" (-2.0, -0.25) (binop_i Op.Div (i 1.0 4.0) (i (-4.0) (-2.0)));
-  check_itv "neg / neg" (0.25, 2.0) (binop_i Op.Div (i (-4.0) (-1.0)) (i (-4.0) (-2.0)));
-  check_itv "mixed / neg" (-2.0, 1.5) (binop_i Op.Div (i (-3.0) 4.0) (i (-4.0) (-2.0)));
-  (* zero-endpoint divisor with a sign-definite dividend: half-bounded,
-     no longer widened all the way to top *)
-  let r = binop_i Op.Div (i 1.0 2.0) (i 0.0 4.0) in
-  Alcotest.(check (float 1e-9)) "pos / [0,4] lower" 0.25 r.lo;
-  Alcotest.(check bool) "pos / [0,4] upper unbounded" true (r.hi = infinity);
-  let r = binop_i Op.Div (i (-2.0) (-1.0)) (i 0.0 4.0) in
-  Alcotest.(check bool) "neg / [0,4] lower unbounded" true (r.lo = neg_infinity);
-  Alcotest.(check (float 1e-9)) "neg / [0,4] upper" (-0.25) r.hi;
-  let r = binop_i Op.Div (i 1.0 2.0) (i (-4.0) 0.0) in
-  Alcotest.(check bool) "pos / [-4,0] lower unbounded" true (r.lo = neg_infinity);
-  Alcotest.(check (float 1e-9)) "pos / [-4,0] upper" (-0.25) r.hi;
-  let r = binop_i Op.Div (i (-2.0) (-1.0)) (i (-4.0) 0.0) in
-  Alcotest.(check (float 1e-9)) "neg / [-4,0] lower" 0.25 r.lo;
-  Alcotest.(check bool) "neg / [-4,0] upper unbounded" true (r.hi = infinity);
-  (* mixed dividend over a zero-endpoint divisor stays top *)
-  let r = binop_i Op.Div (i (-1.0) 1.0) (i 0.0 4.0) in
-  Alcotest.(check bool) "mixed / [0,4] stays top" true
-    (r.lo = neg_infinity && r.hi = infinity)
+(* ------------------------------------------------------- precision analysis *)
 
 let test_finding_sort_deterministic () =
   let f ?kernel ?loop ?node sev code =
-    Finding.make ?kernel ?loop ?node Finding.Range_check sev ~code "m"
+    Finding.make ?kernel ?loop ?node Finding.Precision_check sev ~code "m"
   in
-  let a = f ~kernel:"k1" Finding.Warning "fx-overflow" in
+  let a = f ~kernel:"k1" Finding.Warning "prec-overflow" in
   let b = f ~kernel:"k1" Finding.Error "bad-ssa" in
-  let c = f ~kernel:"k0" ~loop:"l0" ~node:3 Finding.Warning "fx-overflow" in
-  let d = f ~kernel:"k0" ~loop:"l0" ~node:1 Finding.Warning "fx-overflow" in
-  let e = f Finding.Info "advice" in
+  let c = f ~kernel:"k0" ~loop:"l0" ~node:3 Finding.Warning "prec-overflow" in
+  let d = f ~kernel:"k0" ~loop:"l0" ~node:1 Finding.Warning "prec-overflow" in
+  let e = f Finding.Warning "advice" in
   let want = [ b; c; d; a; e ] in
   let want = List.sort Finding.compare want in
   (* every permutation sorts to the same list *)
@@ -528,23 +478,32 @@ let test_finding_sort_deterministic () =
         (Finding.to_string first)
   | [] -> Alcotest.fail "empty sort"
 
-let test_range_verdicts () =
-  (* element-wise Picachu kernels stay representable in Q8.8 on [-2,2];
-     the reductions legitimately escape (growth over 1024 trips) *)
+let q8_8 = Numfmt.fixed ~total_bits:16 ~frac_bits:8
+
+(* no finding at all: every data-path value provably fits the format with
+   a finite error bound *)
+let proven_at fmt k = (Precision.analyze ~fmt k).Precision.findings = []
+
+let test_q8_8_verdicts () =
+  (* element-wise Picachu kernels prove Q8.8 on [-2,2] (silu and swiglu
+     do not: their exp chains carry no finite error bound there); the
+     reductions legitimately escape (growth over 1024 trips) *)
   List.iter
     (fun name ->
       Alcotest.(check bool)
-        (name ^ " safe") true
-        (Range.safe (Kernels.by_name Kernels.picachu name)))
-    [ "relu"; "gelu"; "silu"; "swiglu"; "geglu"; "rope" ];
+        (name ^ " proven") true
+        (proven_at q8_8 (Kernels.by_name Kernels.picachu name)))
+    [ "relu"; "gelu"; "geglu"; "rope" ];
   List.iter
     (fun name ->
       Alcotest.(check bool)
         (name ^ " flagged") false
-        (Range.safe (Kernels.by_name Kernels.picachu name)))
-    [ "softmax"; "softmax_online"; "layernorm"; "rmsnorm" ]
+        (proven_at q8_8 (Kernels.by_name Kernels.picachu name)))
+    [ "silu"; "swiglu"; "softmax"; "softmax_online"; "layernorm"; "rmsnorm" ]
 
-let test_range_flags_overflow () =
+let test_overflow_reported () =
+  (* x * 100 on [-2, 2] has a finite value range far past Q8.8's max: the
+     root cause is reported as an overflow, not as a missing bound *)
   let b = Builder.create () in
   let x = Builder.load b "x" in
   let big = Builder.mul b x (Builder.const b 100.0) in
@@ -560,74 +519,104 @@ let test_range_flags_overflow () =
       scalar_inputs = [ "n" ];
     }
   in
-  let fs = Range.analyze k in
-  Alcotest.(check bool) "fx-overflow reported" true (Finding.has_code "fx-overflow" fs);
-  Alcotest.(check bool) "flagged unsafe" false (Range.safe k)
+  let fs = (Precision.analyze ~fmt:q8_8 k).Precision.findings in
+  Alcotest.(check (list string)) "only prec-overflow" [ "prec-overflow" ]
+    (Finding.codes fs);
+  Alcotest.(check bool) "flagged" false (proven_at q8_8 k)
 
-(* One-directional consistency with the interpreter: a kernel the analysis
-   calls safe must keep every output representable on the standard test
-   vectors (inputs in [-2,2], RoPE angles pre-reduced, n=32).  The converse
-   need not hold — intervals are conservative. *)
-let test_range_consistent_with_interp () =
-  let fx_lo, fx_hi = Range.fx_bounds Fx.(fmt ~total_bits:16 ~frac_bits:8) in
+(* A divisor whose interval contains zero is a division finding, not just
+   an unbounded quotient. *)
+let test_zero_divisor_flagged () =
+  let zero_divisor_nodes variant =
+    List.concat_map
+      (fun (k : Kernel.t) ->
+        let c = Compiler.select_format k in
+        List.filter_map
+          (fun (f : Finding.t) ->
+            if
+              f.Finding.code = "prec-div-error"
+              && String.starts_with ~prefix:"divisor interval" f.Finding.message
+            then
+              Some
+                (Printf.sprintf "%s %%%d"
+                   (Option.value ~default:"?" f.Finding.loc.Finding.loop)
+                   (Option.value ~default:(-1) f.Finding.loc.Finding.node))
+            else None)
+          (Precision.analyze ~fmt:c.Precision.fmt k).Precision.findings)
+      (library variant)
+  in
+  let baseline = zero_divisor_nodes Kernels.Baseline in
+  List.iter
+    (fun node ->
+      if not (List.mem node baseline) then
+        Alcotest.failf "baseline %s: no zero-divisor finding (got: %s)" node
+          (String.concat ", " baseline))
+    [
+      "softmax.3 %4"; "softmax_online.2 %31"; "gelu.1 %39"; "geglu.1 %40";
+      "swiglu.1 %31"; "silu.1 %30";
+    ]
+
+(* Containment: on the standard test vectors (inputs in [-2,2], RoPE angles
+   pre-reduced, n=32) every interpreter output of every library kernel lies
+   in the ideal value interval the analysis proves for its stream, in every
+   catalogue format.  The interpreter runs in float64 on unquantized inputs;
+   the proven interval already widens each input by one quantum, so only a
+   relative slack for float64 rounding is allowed. *)
+let test_interp_within_proven_intervals () =
   let n = 32 in
   List.iter
     (fun variant ->
       List.iter
         (fun (k : Kernel.t) ->
-          if Range.safe k then begin
-            let rng = Rng.create 42 in
-            let range_of stream = if stream = "angle" then (-1.5, 1.5) else (-2.0, 2.0) in
-            let env =
-              {
-                Interp.arrays =
-                  List.map
-                    (fun s ->
-                      let lo, hi = range_of s in
-                      (s, Array.init n (fun _ -> Rng.uniform rng ~lo ~hi)))
-                    k.Kernel.inputs;
-                scalars =
-                  List.map
-                    (fun s -> (s, if s = "n" then float_of_int n else 1.0))
-                    k.Kernel.scalar_inputs;
-              }
-            in
-            let r = Interp.run k env in
-            List.iter
-              (fun (stream, a) ->
-                Array.iter
-                  (fun v ->
-                    if not (v >= fx_lo && v <= fx_hi) then
-                      Alcotest.failf "%s (%s): safe kernel emits %g on %s (Q8.8 is [%g, %g])"
-                        k.Kernel.name (variant_name variant) v stream fx_lo fx_hi)
-                  a)
-              r.Interp.out_arrays
-          end)
+          let rng = Rng.create 42 in
+          let range_of stream = if stream = "angle" then (-1.5, 1.5) else (-2.0, 2.0) in
+          let env =
+            {
+              Interp.arrays =
+                List.map
+                  (fun s ->
+                    let lo, hi = range_of s in
+                    (s, Array.init n (fun _ -> Rng.uniform rng ~lo ~hi)))
+                  k.Kernel.inputs;
+              scalars =
+                List.map
+                  (fun s -> (s, if s = "n" then float_of_int n else 1.0))
+                  k.Kernel.scalar_inputs;
+            }
+          in
+          let outs = (Interp.run k env).Interp.out_arrays in
+          List.iter
+            (fun fmt ->
+              let proven = (Precision.analyze ~fmt k).Precision.outputs in
+              List.iter
+                (fun (stream, a) ->
+                  match List.find_opt (fun (s, _, _) -> s = stream) proven with
+                  | None ->
+                      Alcotest.failf "%s (%s): no proven interval for %s"
+                        k.Kernel.name (variant_name variant) stream
+                  | Some (_, (lo, hi), _) ->
+                      Array.iter
+                        (fun v ->
+                          let tol = 1e-9 *. Float.max 1.0 (Float.abs v) in
+                          if not (v >= lo -. tol && v <= hi +. tol) then
+                            Alcotest.failf "%s (%s) %s: %s = %g outside [%g, %g]"
+                              k.Kernel.name (variant_name variant) (Numfmt.name fmt)
+                              stream v lo hi)
+                        a)
+                outs)
+            Numfmt.catalogue)
         (library variant))
-    [ Kernels.picachu; Kernels.Baseline ]
+    [ Kernels.picachu; Kernels.picachu_nli; Kernels.Baseline ]
 
-(* Golden over both abstract interpreters: every Range finding on the lint
-   library (Taylor, NLI and Baseline, extras included), and for every
-   Taylor/NLI roster kernel under every catalogue format the Precision
-   bound, per-stream outputs (hex floats, so the last ulp is pinned) and
-   findings.  Recorded before the two analyses were folded onto one
-   driver; any drift in transfer rules, fixpoint order or noise-symbol
-   allocation moves it. *)
-let analysis_golden_pin = "d002945e62f98ee5d54efcd457bf1785"
+(* Golden over the precision analysis: for every Taylor/NLI roster kernel
+   under every catalogue format, the proven bound, per-stream outputs (hex
+   floats, so the last ulp is pinned) and findings.  Any drift in transfer
+   rules, fixpoint order or noise-symbol allocation moves it. *)
+let analysis_golden_pin = "6ea02c24c560641b01f3e2d03e228e87"
 
 let test_analysis_golden () =
   let b = Buffer.create 65536 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  let findings fs = List.iter (fun f -> line "  %s" (Finding.to_string f)) (Finding.sort fs) in
-  let variants = [ Kernels.picachu; Kernels.picachu_nli; Kernels.Baseline ] in
-  List.iter
-    (fun variant ->
-      List.iter
-        (fun (k : Kernel.t) ->
-          line "range %s %s" (variant_name variant) k.Kernel.name;
-          findings (Range.analyze k))
-        (library variant))
-    variants;
   List.iter
     (fun variant ->
       List.iter
@@ -640,11 +629,13 @@ let test_analysis_golden () =
               List.iter
                 (fun (s, (lo, hi), e) -> line "  out %s [%h, %h] err %h" s lo hi e)
                 r.Precision.outputs;
-              findings r.Precision.findings)
+              List.iter
+                (fun f -> line "  %s" (Finding.to_string f))
+                (Finding.sort r.Precision.findings))
             Numfmt.catalogue)
         (library variant))
     [ Kernels.picachu; Kernels.picachu_nli ];
-  Alcotest.(check string) "range+precision transcript digest" analysis_golden_pin
+  Alcotest.(check string) "precision transcript digest" analysis_golden_pin
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* --------------------------------------------------------------- gate wiring *)
@@ -666,8 +657,8 @@ let suite =
       [
         Alcotest.test_case "library structurally clean (golden 0)" `Slow
           test_library_clean;
-        Alcotest.test_case "range pass never errors on library" `Quick
-          test_library_range_no_errors;
+        Alcotest.test_case "precision never errors on library" `Quick
+          test_library_precision_no_errors;
         Alcotest.test_case "sweep architectures all validate" `Slow
           test_sweep_architectures_validate;
         Alcotest.test_case "verify knob preserves mappings" `Quick
@@ -702,16 +693,14 @@ let suite =
           test_lint_dead_def_warning;
         Alcotest.test_case "unroll leaves no dead constants" `Quick
           test_unroll_no_dead_consts;
-        Alcotest.test_case "interval transfer functions" `Quick test_interval_transfer;
-        Alcotest.test_case "interval division tightening" `Quick
-          test_interval_division_tightening;
         Alcotest.test_case "finding sort deterministic" `Quick
           test_finding_sort_deterministic;
-        Alcotest.test_case "range verdicts on library" `Quick test_range_verdicts;
-        Alcotest.test_case "range flags overflow" `Quick test_range_flags_overflow;
-        Alcotest.test_case "safe kernels stay representable in interp" `Quick
-          test_range_consistent_with_interp;
-        Alcotest.test_case "range+precision golden" `Quick test_analysis_golden;
+        Alcotest.test_case "range verdicts on library" `Quick test_q8_8_verdicts;
+        Alcotest.test_case "range flags overflow" `Quick test_overflow_reported;
+        Alcotest.test_case "zero divisors flagged" `Quick test_zero_divisor_flagged;
+        Alcotest.test_case "interp outputs within proven intervals" `Quick
+          test_interp_within_proven_intervals;
+        Alcotest.test_case "precision golden" `Quick test_analysis_golden;
         Alcotest.test_case "verify gate rejects bad kernel" `Quick
           test_gate_rejects_bad_kernel;
       ] );
