@@ -37,7 +37,8 @@ let exact =
     isqrt = (fun x -> 1.0 /. sqrt x);
   }
 
-let fp16_format xs = Array.map Fp16.round xs
+(* an FP32 datapath value stored as FP16 *)
+let fp16_format xs = Array.map (fun x -> Minifloat.(round fp16 (round32 x))) xs
 
 let fp16_reference =
   {
@@ -48,13 +49,13 @@ let fp16_reference =
       (fun xs ->
         let xs = fp16_format xs in
         let m = max_of xs in
-        Array.map (fun x -> Fp16.round32 (Stdlib.exp (x -. m))) xs);
+        Array.map (fun x -> Minifloat.round32 (Stdlib.exp (x -. m))) xs);
     gelu =
       (fun xs ->
-        Array.map (fun x -> Fp16.round32 (x *. Lut.gauss_cdf_exact x)) (fp16_format xs));
-    silu = (fun xs -> Array.map (fun x -> Fp16.round32 (silu_exact x)) (fp16_format xs));
+        Array.map (fun x -> Minifloat.round32 (x *. Lut.gauss_cdf_exact x)) (fp16_format xs));
+    silu = (fun xs -> Array.map (fun x -> Minifloat.round32 (silu_exact x)) (fp16_format xs));
     relu = (fun xs -> relu_v (fp16_format xs));
-    div = (fun a b -> Fp16.round32 (a /. b));
+    div = (fun a b -> Minifloat.round32 (a /. b));
   }
 
 let int16_format xs =
@@ -115,8 +116,8 @@ let taylor_fp_prims ?(order = 6) () =
     p_name = Printf.sprintf "ours-fp16(order %d)" order;
     p_format = fp16_format;
     p_exp_shifted = Taylor.exp ~cfg;
-    p_gelu = (fun x -> Fp16.round32 (x *. Lut.eval lut x));
-    p_silu = (fun x -> Fp16.round32 (x *. Taylor.sigmoid ~cfg x));
+    p_gelu = (fun x -> Minifloat.round32 (x *. Lut.eval lut x));
+    p_silu = (fun x -> Minifloat.round32 (x *. Taylor.sigmoid ~cfg x));
     p_sin = Taylor.sin ~cfg;
     p_cos = Taylor.cos ~cfg;
     p_div = Taylor.div;
@@ -141,13 +142,13 @@ let nli_fp_prims () =
   {
     p_name = "nli-fp16";
     p_format = fp16_format;
-    p_exp_shifted = (fun d -> Fp16.round32 (Nli.exp_neg d));
-    p_gelu = (fun x -> Fp16.round32 (Nli.gelu x));
-    p_silu = (fun x -> Fp16.round32 (Nli.silu x));
-    p_sin = (fun x -> Fp16.round32 (Nli.sin x));
-    p_cos = (fun x -> Fp16.round32 (Nli.cos x));
-    p_div = (fun a b -> Fp16.round32 (Nli.div a b));
-    p_isqrt = (fun x -> Fp16.round32 (Nli.isqrt x));
+    p_exp_shifted = (fun d -> Minifloat.round32 (Nli.exp_neg d));
+    p_gelu = (fun x -> Minifloat.round32 (Nli.gelu x));
+    p_silu = (fun x -> Minifloat.round32 (Nli.silu x));
+    p_sin = (fun x -> Minifloat.round32 (Nli.sin x));
+    p_cos = (fun x -> Minifloat.round32 (Nli.cos x));
+    p_div = (fun a b -> Minifloat.round32 (Nli.div a b));
+    p_isqrt = (fun x -> Minifloat.round32 (Nli.isqrt x));
   }
 
 let nli_int_prims () =

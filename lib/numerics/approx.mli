@@ -23,38 +23,14 @@ type t = {
   isqrt : float -> float;
 }
 
-type prims = {
-  p_name : string;
-  p_format : float array -> float array;
-  p_exp_shifted : float -> float;
-      (** [exp d] for a max-shifted argument [d <= 0] *)
-  p_gelu : float -> float;  (** on an already-formatted input *)
-  p_silu : float -> float;
-  p_sin : float -> float;
-  p_cos : float -> float;
-  p_div : float -> float -> float;
-  p_isqrt : float -> float;
-}
-(** The pluggable backend signature: one scalar primitive per Table 1
-    building block at the backend's fidelity (rounding included).  The
-    Taylor engine and the NLI interpolation engine are both instances. *)
-
-val of_prims : prims -> t
-(** Lift the scalar primitives into a full backend: [of_prims] supplies the
-    vector plumbing every instance shares (apply the I/O format, shift the
-    softmax numerator by the running maximum, map element-wise). *)
-
-val taylor_fp_prims : ?order:int -> unit -> prims
-val taylor_int_prims : unit -> prims
-val nli_fp_prims : unit -> prims
-val nli_int_prims : unit -> prims
-
 val exact : t
 (** Float64 software reference (exact Phi for GeLU). *)
 
 val fp16_reference : t
 (** The paper's "FP16" baseline rows: exact operator mathematics (FP32
-    accumulation, as cuBLAS/cuDNN provide) behind FP16 I/O. *)
+    accumulation, as cuBLAS/cuDNN provide) behind FP16 I/O.  An FP16 I/O
+    value is the FP32 datapath value stored as FP16:
+    [Minifloat.(round fp16 (round32 x))]. *)
 
 val ours_fp : ?order:int -> unit -> t
 (** PICACHU algorithm, FP16 I/O, FP32 intermediates, Taylor order [order]

@@ -84,7 +84,6 @@ let exp_v xs =
   Array.map (fun x -> exp_on_negative (x -. m)) xs'
 
 let sigmoid_v xs = Array.map logistic (static_quantize xs)
-let tanh_v xs = Array.map tanh (static_quantize xs)
 
 let gelu_v xs =
   let c = sqrt (2.0 /. Float.pi) in

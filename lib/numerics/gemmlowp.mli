@@ -24,7 +24,6 @@ val exp_v : float array -> float array
 (** Softmax-style exp of (x - max x) on the static INT16 grid. *)
 
 val sigmoid_v : float array -> float array
-val tanh_v : float array -> float array
 val gelu_v : float array -> float array
 (** GeLU via the tanh form computed with fixed-point tanh. *)
 

@@ -24,14 +24,9 @@ val calibrated_absmax : float
     activation grid offline, which is exactly what LLM outlier channels
     overflow. *)
 
-val i_poly : scale:float -> a:float -> b:float -> c:float -> int -> int * float
-(** [i_poly ~scale ~a ~b ~c q] evaluates [a (qs + b)^2 + c] in integer
-    arithmetic by completing the square; returns (q', scale'). *)
-
 val i_exp : scale:float -> int -> int * float
 (** Integer exp for [q * scale <= 0]; positive inputs are clamped to 0. *)
 
-val i_erf : scale:float -> int -> int * float
 val i_sqrt : int -> int
 (** Integer square root by Newton iteration (floor). *)
 

@@ -15,7 +15,7 @@ let create ?(entries = 1024) ~lo ~hi f =
   if lo >= hi then invalid_arg "Lut.create: empty range";
   let step = (hi -. lo) /. float_of_int (entries - 1) in
   let values =
-    Array.init entries (fun i -> Fp16.round (f (lo +. (float_of_int i *. step))))
+    Array.init entries (fun i -> Minifloat.round Minifloat.fp16 (f (lo +. (float_of_int i *. step))))
   in
   { grid = Uniform { lo; hi; step }; values }
 
@@ -27,17 +27,11 @@ let check_breakpoints bps =
       invalid_arg "Lut: breakpoints not strictly increasing"
   done
 
-let of_samples ~breakpoints values =
-  check_breakpoints breakpoints;
-  if Array.length values <> Array.length breakpoints then
-    invalid_arg "Lut.of_samples: length mismatch";
-  { grid = Breakpoints (Array.copy breakpoints); values = Array.copy values }
-
 let create_nonuniform ~breakpoints f =
   check_breakpoints breakpoints;
   {
     grid = Breakpoints (Array.copy breakpoints);
-    values = Array.map (fun x -> Fp16.round (f x)) breakpoints;
+    values = Array.map (fun x -> Minifloat.round Minifloat.fp16 (f x)) breakpoints;
   }
 
 let lo t =

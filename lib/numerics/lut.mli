@@ -4,8 +4,8 @@
     functions with no cheap arithmetic decomposition — the paper's example is
     the Gaussian CDF [Phi] used by exact GeLU (§4.2.1).  A table covers a
     clamped input range and linearly interpolates between stored samples;
-    entries are stored rounded through FP16, the natural width of an on-tile
-    ROM word.
+    entries are stored rounded to FP16 ([Minifloat.round fp16]), the natural
+    width of an on-tile ROM word.
 
     Two grid shapes share the representation: uniformly spaced entries (the
     CoT tables, grid implicit) and explicit non-uniform breakpoints (the NLI
@@ -21,11 +21,6 @@ val create : ?entries:int -> lo:float -> hi:float -> (float -> float) -> t
 val create_nonuniform : breakpoints:float array -> (float -> float) -> t
 (** Tabulate [f] at the given strictly increasing breakpoints (at least 2);
     values round through FP16 like every ROM word. *)
-
-val of_samples : breakpoints:float array -> float array -> t
-(** Non-uniform table from precomputed node values (same length as
-    [breakpoints], which must be strictly increasing).  Values are stored
-    as given — round them through the ROM word width yourself. *)
 
 val eval : t -> float -> float
 (** Clamped linear interpolation.  Exactly the stored value at a node. *)

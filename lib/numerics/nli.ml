@@ -150,11 +150,6 @@ let standard =
 let fit_of_name name = List.assoc_opt name standard
 let table_of_name name = Option.map (fun f -> f.table) (fit_of_name name)
 
-let reference_of_name name =
-  Option.map
-    (fun (_, _, _, _, f) -> f)
-    (List.find_opt (fun (n, _, _, _, _) -> n = name) standard_specs)
-
 (* ------------------------------------------------- range-reduced scalars *)
 
 let table name =
@@ -228,17 +223,3 @@ let isqrt x =
       else (4.0 *. m, (e' - 1) asr 1)
     in
     Float.ldexp (Lut.eval isqrt_table u) (-p)
-
-(* total bytes of the standard tables, deduplicated by name *)
-let footprint_bytes names =
-  let seen = Hashtbl.create 8 in
-  List.fold_left
-    (fun acc name ->
-      if Hashtbl.mem seen name then acc
-      else begin
-        Hashtbl.add seen name ();
-        match table_of_name name with
-        | Some t -> acc + Lut.size_bytes t
-        | None -> acc
-      end)
-    0 names

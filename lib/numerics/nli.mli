@@ -43,12 +43,6 @@ val standard : (string * fit) list
 
 val fit_of_name : string -> fit option
 val table_of_name : string -> Lut.t option
-val reference_of_name : string -> (float -> float) option
-(** The float64 reference function a standard table approximates. *)
-
-val footprint_bytes : string list -> int
-(** Total {!Lut.size_bytes} of the named standard tables, deduplicated by
-    name; unknown names contribute 0. *)
 
 (** {2 Range-reduced scalar evaluators}
 

@@ -1,116 +1,47 @@
 module Fx = Fixed_point
+module Mf = Minifloat
 
-type t =
-  | Fixed of Fx.fmt
-  | Fp4
-  | Fp8 of Fp8.fmt
-  | Bf16
-  | Fp16
-  | Fp32
+type t = Fixed of Fx.fmt | Float of Mf.t
 
 let fixed ~total_bits ~frac_bits = Fixed (Fx.fmt ~total_bits ~frac_bits)
-let e4m3 = Fp8 Fp8.e4m3
-let e5m2 = Fp8 Fp8.e5m2
 
 let name = function
   | Fixed f -> Printf.sprintf "q%d.%d" (f.Fx.total_bits - f.Fx.frac_bits) f.Fx.frac_bits
-  | Fp4 -> "fp4_e2m1"
-  | Fp8 f -> f.Fp8.name
-  | Bf16 -> "bf16"
-  | Fp16 -> "fp16"
-  | Fp32 -> "fp32"
+  | Float f -> f.Mf.name
 
-let bits = function
-  | Fixed f -> f.Fx.total_bits
-  | Fp4 -> 4
-  | Fp8 _ -> 8
-  | Bf16 | Fp16 -> 16
-  | Fp32 -> 32
+let bits = function Fixed f -> f.Fx.total_bits | Float f -> f.Mf.bits
 
 let max_value = function
   | Fixed f -> Fx.to_float f (Fx.max_int_value f)
-  | Fp4 -> Fp4.max_value
-  | Fp8 f -> Fp8.max_value f
-  | Bf16 -> Bfloat16.max_value
-  | Fp16 -> Fp16.max_value
-  | Fp32 -> Int32.float_of_bits 0x7F7FFFFFl
+  | Float f -> f.Mf.max_value
 
-let quantize t x =
-  match t with
-  | Fixed f -> Fx.round f x
-  | _ ->
-      let q =
-        match t with
-        | Fixed _ -> assert false
-        | Fp4 -> Fp4.round x
-        | Fp8 f -> Fp8.round f x
-        | Bf16 -> Bfloat16.round x
-        | Fp16 -> Fp16.round x
-        | Fp32 -> Fp16.round32 x
-      in
-      (* unify the overflow convention across the stack: every format
-         saturates finite inputs to its largest finite magnitude instead of
-         rounding to infinity (FP8 already does; binary16/32 and bfloat16
-         follow IEEE, so clamp here) *)
-      if Float.is_finite x && not (Float.is_finite q) then
-        Float.copy_sign (max_value t) x
-      else q
-
-(* (explicit mantissa bits, unbiased exponent of the smallest normal) *)
-let float_params = function
-  | Fixed _ -> invalid_arg "Numfmt.float_params: fixed format"
-  | Fp4 -> (1, 0) (* E2M1: one explicit mantissa bit, min normal 2^0 *)
-  | Fp8 f -> (f.Fp8.mant_bits, 1 - f.Fp8.bias)
-  | Bf16 -> (7, -126)
-  | Fp16 -> (10, -14)
-  | Fp32 -> (23, -126)
+let quantize t x = match t with Fixed f -> Fx.round f x | Float f -> Mf.round f x
 
 let quantum t ~mag =
   match t with
   | Fixed f -> Float.ldexp 1.0 (-(f.Fx.frac_bits + 1))
-  | _ ->
+  | Float f ->
       if mag = 0.0 then 0.0
       else
-        let mant, min_normal_exp = float_params t in
         (* mag = m * 2^e with m in [0.5, 1), so every |x| <= mag sits at or
            below the [2^(e-1), 2^e) binade whose ulp is 2^(e-1-mant); the
            spacing never shrinks below the subnormal quantum *)
         let _, e = Float.frexp mag in
-        let ulp_exp = Stdlib.max (e - 1 - mant) (min_normal_exp - mant) in
+        let ulp_exp = Stdlib.max (e - 1) f.Mf.emin - f.Mf.mant_bits in
         Float.ldexp 1.0 (ulp_exp - 1)
 
-let exact_sums = function Fixed _ -> true | _ -> false
+let exact_sums = function Fixed _ -> true | Float _ -> false
 
 let catalogue =
   [
-    Fp4;
-    e4m3;
-    e5m2;
+    Float Mf.e2m1;
+    Float Mf.e4m3;
+    Float Mf.e5m2;
     fixed ~total_bits:8 ~frac_bits:4;
     fixed ~total_bits:12 ~frac_bits:8;
-    Bf16;
-    Fp16;
+    Float Mf.bf16;
+    Float Mf.fp16;
     fixed ~total_bits:16 ~frac_bits:8;
     fixed ~total_bits:32 ~frac_bits:16;
-    Fp32;
+    Float Mf.fp32;
   ]
-
-let of_string s =
-  match s with
-  | "fp4_e2m1" | "e2m1" -> Some Fp4
-  | "fp8_e4m3" | "e4m3" -> Some e4m3
-  | "fp8_e5m2" | "e5m2" -> Some e5m2
-  | "bf16" -> Some Bf16
-  | "fp16" -> Some Fp16
-  | "fp32" -> Some Fp32
-  | _ -> (
-      match String.index_opt s '.' with
-      | Some dot when String.length s > 1 && s.[0] = 'q' -> (
-          try
-            let int_bits = int_of_string (String.sub s 1 (dot - 1)) in
-            let frac_bits =
-              int_of_string (String.sub s (dot + 1) (String.length s - dot - 1))
-            in
-            Some (fixed ~total_bits:(int_bits + frac_bits) ~frac_bits)
-          with Invalid_argument _ | Failure _ -> None)
-      | _ -> None)

@@ -2,30 +2,19 @@
 
     One closed view over every value format a PICACHU lane can run: the Q
     fixed-point formats of the INT16/INT32 lanes plus the floating-point
-    stack (FP8 E4M3/E5M2, bfloat16, binary16, binary32).  Each format
-    answers the three questions static precision analysis asks — how wide
-    is it ({!bits}), how large a magnitude can it hold ({!max_value}), and
-    how much can one round-to-nearest step move a value of a given
-    magnitude ({!quantum}) — and supplies the bit-accurate {!quantize} the
-    soundness harness executes against. *)
+    stack ({!Minifloat}: FP4 E2M1, FP8 E4M3/E5M2, bfloat16, binary16,
+    binary32).  Each format answers the three questions static precision
+    analysis asks — how wide is it ({!bits}), how large a magnitude can it
+    hold ({!max_value}), and how much can one round-to-nearest step move a
+    value of a given magnitude ({!quantum}) — and supplies the bit-accurate
+    {!quantize} the soundness harness executes against. *)
 
-type t =
-  | Fixed of Fixed_point.fmt
-  | Fp4  (** OCP MX FP4, E2M1 *)
-  | Fp8 of Fp8.fmt
-  | Bf16
-  | Fp16
-  | Fp32
+type t = Fixed of Fixed_point.fmt | Float of Minifloat.t
 
 val fixed : total_bits:int -> frac_bits:int -> t
-val e4m3 : t
-val e5m2 : t
 
 val name : t -> string
 (** ["q8.8"], ["fp8_e4m3"], ["bf16"], ... *)
-
-val of_string : string -> t option
-(** Inverse of {!name}; also accepts ["e4m3"]/["e5m2"] and any ["qI.F"]. *)
 
 val bits : t -> int
 (** Storage width — the cost axis format selection minimizes. *)
@@ -34,8 +23,9 @@ val max_value : t -> float
 (** Largest finite representable magnitude. *)
 
 val quantize : t -> float -> float
-(** Bit-accurate round-to-nearest(-even for the float formats) through the
-    format.  Finite values beyond {!max_value} saturate in every format. *)
+(** Bit-accurate round-to-nearest through the format, in one step
+    ({!Fixed_point.round}, {!Minifloat.round}).  Finite values beyond
+    {!max_value} saturate in every format. *)
 
 val quantum : t -> mag:float -> float
 (** Sound upper bound on [|quantize t x - x|] over all [|x| <= mag], for

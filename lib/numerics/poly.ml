@@ -12,9 +12,6 @@ let factorial k =
   done;
   !acc
 
-let taylor_coeffs ~f_derivatives ~order =
-  Array.init (order + 1) (fun k -> f_derivatives k /. factorial k)
-
 type quadratic = { a : float; b : float; c : float }
 
 let complete_square { a; b; c } =

@@ -11,9 +11,6 @@ val horner : float array -> float -> float
 (** [horner [|c0; c1; ...; cn|] x] = [c0 + c1 x + ... + cn x^n]. An empty
     coefficient array evaluates to 0. *)
 
-val taylor_coeffs : f_derivatives:(int -> float) -> order:int -> float array
-(** Coefficients [f^(k)(0)/k!] for [k = 0..order]. *)
-
 type quadratic = { a : float; b : float; c : float }
 (** [a + b x + c x^2]. *)
 

@@ -14,13 +14,11 @@ let saturating_cast ~bits v =
 let quantize_value ~bits ~scale x =
   saturating_cast ~bits (int_of_float (Float.round (x /. scale)))
 
-let quantize_with_scale ~bits ~scale t =
-  let q = Array.init (Tensor.numel t) (fun i -> quantize_value ~bits ~scale (Tensor.get t i)) in
-  { q; scale; bits }
-
 let quantize ~bits t =
   let absmax = Tensor.fold (fun acc x -> Float.max acc (abs_float x)) 0.0 t in
-  quantize_with_scale ~bits ~scale:(scale_for ~bits ~absmax) t
+  let scale = scale_for ~bits ~absmax in
+  let q = Array.init (Tensor.numel t) (fun i -> quantize_value ~bits ~scale (Tensor.get t i)) in
+  { q; scale; bits }
 
 let dequantize { q; scale; _ } =
   Tensor.init [ Array.length q ] (fun i -> scale *. float_of_int q.(i))

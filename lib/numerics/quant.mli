@@ -16,10 +16,6 @@ val quantize : bits:int -> Tensor.t -> qtensor
 (** Per-tensor symmetric quantization using the tensor's own absmax (a zero
     tensor quantizes with scale 1). *)
 
-val quantize_with_scale : bits:int -> scale:float -> Tensor.t -> qtensor
-(** Quantize against a caller-chosen scale (saturating); used to model
-    calibration mismatch, the failure mode of fixed-range baselines. *)
-
 val dequantize : qtensor -> Tensor.t
 val saturating_cast : bits:int -> int -> int
 val quantize_value : bits:int -> scale:float -> float -> int

@@ -1,7 +1,7 @@
 type config = { order : int }
 
 let default = { order = 6 }
-let r32 = Fp16.round32
+let r32 = Minifloat.round32
 let log2_e = 1.4426950408889634
 let ln_2 = 0.6931471805599453
 

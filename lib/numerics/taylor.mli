@@ -16,7 +16,7 @@
 
     [order] is the number of the highest polynomial power retained; it is the
     user-defined precision knob of §3.2.3.  Every intermediate step is rounded
-    through FP32 ([Fp16.round32]) to model the CGRA's internal format. *)
+    through FP32 ([Minifloat.round32]) to model the CGRA's internal format. *)
 
 type config = { order : int }
 

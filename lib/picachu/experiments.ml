@@ -1309,7 +1309,7 @@ let backends_cells () =
       Nm.Lut_catalog.footprint_bytes names
     in
     let bc_bound =
-      (Picachu_verify.Precision.analyze ~fmt:Nm.Numfmt.Fp16 k)
+      (Picachu_verify.Precision.analyze ~fmt:Nm.Numfmt.(Float Nm.Minifloat.fp16) k)
         .Picachu_verify.Precision.bound
     in
     let bc_ppl =

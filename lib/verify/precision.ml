@@ -390,6 +390,6 @@ let select_format ?budget ?(candidates = Numfmt.catalogue) (k : Kernel.t) =
         match best with
         | Some fb -> fb
         | None -> (
-            match List.rev tried with fb :: _ -> fb | [] -> (Numfmt.Fp32, infinity))
+            match List.rev tried with fb :: _ -> fb | [] -> (Numfmt.Float Picachu_numerics.Minifloat.fp32, infinity))
       in
       { kernel = k.Kernel.name; budget; fmt; bound; fallback = true; tried }

@@ -9,49 +9,176 @@ let qtest = QCheck_alcotest.to_alcotest
 let rel_err ref v =
   Float.abs (ref -. v) /. Float.max 1e-12 (Float.abs ref)
 
-(* ------------------------------------------------------------------ Fp16 *)
+(* ------------------------------------------------------------- Minifloat *)
+
+module Mf = Minifloat
+
+(* An independent decoder for the oracle: each format's bit layout written
+   out from the OCP / IEEE 754 definitions (exponent width, mantissa width,
+   bias, and what the all-ones exponent row means), sharing no code with
+   [Minifloat.round].  [None] is a NaN code. *)
+type top_row = Ieee  (** inf and NaN *) | Nan_at_max  (** E4M3 *) | All_finite  (** E2M1 *)
+
+let layout (f : Mf.t) =
+  if f == Mf.e2m1 then (2, 1, 1, All_finite)
+  else if f == Mf.e4m3 then (4, 3, 7, Nan_at_max)
+  else if f == Mf.e5m2 then (5, 2, 15, Ieee)
+  else if f == Mf.bf16 then (8, 7, 127, Ieee)
+  else if f == Mf.fp16 then (5, 10, 15, Ieee)
+  else invalid_arg "layout"
+
+let decode f code =
+  let eb, mb, bias, top = layout f in
+  let sign = if (code lsr (eb + mb)) land 1 = 1 then -1.0 else 1.0 in
+  let e = (code lsr mb) land ((1 lsl eb) - 1) and m = code land ((1 lsl mb) - 1) in
+  let all_ones = e = (1 lsl eb) - 1 in
+  match top with
+  | Ieee when all_ones -> if m = 0 then Some (sign *. infinity) else None
+  | Nan_at_max when all_ones && m = (1 lsl mb) - 1 -> None
+  | _ ->
+      if e = 0 then Some (sign *. Float.ldexp (float_of_int m) (1 - bias - mb))
+      else Some (sign *. Float.ldexp (float_of_int ((1 lsl mb) lor m)) (e - bias - mb))
+
+let codes f =
+  let eb, mb, _, _ = layout f in
+  1 lsl (1 + eb + mb)
+
+let is_neg_zero v = v = 0.0 && 1.0 /. v = neg_infinity
+
+(* [round f x] lands on the value of [code] *)
+let check_encodes f name code x =
+  let r = Mf.round f x in
+  match decode f code with
+  | None -> Alcotest.(check bool) name true (Float.is_nan r)
+  | Some v ->
+      Alcotest.(check (float 0.0)) name v r;
+      Alcotest.(check bool) (name ^ " sign") (Float.sign_bit v) (Float.sign_bit r)
+
+(* Every code: its value is a fixed point of [round] (signed zeros keep
+   their sign, infinities and NaN where the format has them pass through),
+   and the largest finite value is [max_value]. *)
+let check_all_codes f =
+  let largest = ref 0.0 in
+  for code = 0 to codes f - 1 do
+    let v = decode f code in
+    let name = Printf.sprintf "%s code %#x" f.Mf.name code in
+    check_encodes f name code (Option.value v ~default:Float.nan);
+    match v with
+    | Some v when Float.is_finite v -> largest := Float.max !largest v
+    | _ -> ()
+  done;
+  Alcotest.(check (float 0.0)) (f.Mf.name ^ " max_value") !largest f.Mf.max_value;
+  check_encodes f (f.Mf.name ^ " min subnormal") 1 (Mf.min_positive_subnormal f)
+
+(* Between each pair of adjacent finite codes (positive codes count up in
+   value): the exact midpoint goes to the even code, one float64 ulp below
+   it goes down and one ulp above it goes up; the negative side mirrors. *)
+let check_midpoints f =
+  let half = codes f / 2 in
+  for c = 0 to half - 2 do
+    match (decode f c, decode f (c + 1)) with
+    | Some a, Some b when Float.is_finite b ->
+        let mid = (a +. b) /. 2.0 in
+        let name = Printf.sprintf "%s between %#x and %#x" f.Mf.name c (c + 1) in
+        let tie = if c land 1 = 0 then a else b in
+        let check what want x =
+          Alcotest.(check (float 0.0)) (name ^ what) want (Mf.round f x);
+          Alcotest.(check (float 0.0)) (name ^ what ^ " (negated)") (-.want)
+            (Mf.round f (-.x))
+        in
+        check " tie" tie mid;
+        check " below" a (Float.pred mid);
+        check " above" b (Float.succ mid)
+    | _ -> ()
+  done
 
 let test_fp16_known_encodings () =
-  Alcotest.(check int) "1.0" 0x3C00 (Fp16.of_float 1.0);
-  Alcotest.(check int) "-2.0" 0xC000 (Fp16.of_float (-2.0));
-  Alcotest.(check int) "0.5" 0x3800 (Fp16.of_float 0.5);
-  Alcotest.(check int) "65504" 0x7BFF (Fp16.of_float 65504.0);
-  Alcotest.(check int) "inf" 0x7C00 (Fp16.of_float infinity);
-  Alcotest.(check int) "-inf" 0xFC00 (Fp16.of_float neg_infinity);
-  Alcotest.(check int) "+0" 0x0000 (Fp16.of_float 0.0)
+  let f = Mf.fp16 in
+  check_encodes f "1.0" 0x3C00 1.0;
+  check_encodes f "-2.0" 0xC000 (-2.0);
+  check_encodes f "0.5" 0x3800 0.5;
+  check_encodes f "1/3" 0x3555 (1.0 /. 3.0);
+  check_encodes f "65504" 0x7BFF 65504.0;
+  check_encodes f "inf" 0x7C00 infinity;
+  check_encodes f "-inf" 0xFC00 neg_infinity;
+  check_encodes f "+0" 0x0000 0.0;
+  check_encodes f "-0" 0x8000 (-0.0)
 
 let test_fp16_decode_known () =
-  check_float "decode 1.0" 1.0 (Fp16.to_float 0x3C00);
-  check_float "decode max" 65504.0 (Fp16.to_float 0x7BFF);
-  check_float "decode smallest subnormal" (2.0 ** -24.0) (Fp16.to_float 0x0001);
-  Alcotest.(check bool) "decode nan" true (Float.is_nan (Fp16.to_float 0x7E00))
+  (* the oracle decoder itself, against the IEEE 754 table *)
+  let d code = Option.get (decode Mf.fp16 code) in
+  check_float "decode 1.0" 1.0 (d 0x3C00);
+  check_float "decode max" 65504.0 (d 0x7BFF);
+  check_float "decode smallest subnormal" (2.0 ** -24.0) (d 0x0001);
+  check_float "min_positive_subnormal" (2.0 ** -24.0) (Mf.min_positive_subnormal Mf.fp16);
+  Alcotest.(check bool) "decode nan" true (decode Mf.fp16 0x7E00 = None)
 
-let test_fp16_overflow_to_inf () =
-  Alcotest.(check bool) "66000 -> inf" true (Fp16.round 66000.0 = infinity);
-  check_float "65504 stays" 65504.0 (Fp16.round 65504.0)
+let test_fp16_overflow_saturates () =
+  (* finite overflow saturates, as in every format; infinity stays *)
+  check_float "66000 -> 65504" 65504.0 (Mf.round Mf.fp16 66000.0);
+  check_float "-66000 -> -65504" (-65504.0) (Mf.round Mf.fp16 (-66000.0));
+  check_float "65504 stays" 65504.0 (Mf.round Mf.fp16 65504.0)
 
 let test_fp16_round_to_nearest_even () =
   (* 2049 is exactly between representables 2048 and 2050: ties to even *)
-  check_float "tie to even" 2048.0 (Fp16.round 2049.0);
-  check_float "above tie" 2052.0 (Fp16.round 2051.0)
+  check_float "tie to even" 2048.0 (Mf.round Mf.fp16 2049.0);
+  check_float "above tie" 2052.0 (Mf.round Mf.fp16 2051.0)
+
+let test_fp16_all_codes_roundtrip () = check_all_codes Mf.fp16
 
 let prop_fp16_roundtrip_idempotent =
   QCheck.Test.make ~name:"fp16 round is idempotent" ~count:1000
     (QCheck.float_range (-60000.0) 60000.0) (fun x ->
-      let r = Fp16.round x in
-      Fp16.round r = r)
+      let r = Mf.round Mf.fp16 x in
+      Mf.round Mf.fp16 r = r)
 
 let prop_fp16_relative_error =
   QCheck.Test.make ~name:"fp16 relative error within half-ulp" ~count:1000
     (QCheck.float_range 6.2e-5 60000.0) (fun x ->
-      rel_err x (Fp16.round x) <= Fp16.epsilon /. 2.0 +. 1e-12)
+      rel_err x (Mf.round Mf.fp16 x) <= (2.0 ** -11.0) +. 1e-12)
 
 let prop_fp16_monotone =
   QCheck.Test.make ~name:"fp16 rounding is monotone" ~count:1000
     (QCheck.pair (QCheck.float_range (-1000.0) 1000.0) (QCheck.float_range (-1000.0) 1000.0))
     (fun (a, b) ->
       let lo = Float.min a b and hi = Float.max a b in
-      Fp16.round lo <= Fp16.round hi)
+      Mf.round Mf.fp16 lo <= Mf.round Mf.fp16 hi)
+
+let test_minifloat_midpoints () =
+  List.iter check_midpoints [ Mf.e2m1; Mf.e4m3; Mf.e5m2; Mf.bf16; Mf.fp16 ]
+
+let test_minifloat_special_values () =
+  (* format, what +infinity becomes, whether NaN survives *)
+  List.iter
+    (fun (f, inf_to, keeps_nan) ->
+      let r = Mf.round f in
+      let name s = f.Mf.name ^ " " ^ s in
+      check_float (name "+inf") inf_to (r infinity);
+      check_float (name "-inf") (-.inf_to) (r neg_infinity);
+      if keeps_nan then Alcotest.(check bool) (name "nan stays") true (Float.is_nan (r Float.nan))
+      else
+        Alcotest.(check bool) (name "nan -> +0") true
+          (r Float.nan = 0.0 && not (Float.sign_bit (r Float.nan)));
+      Alcotest.(check bool) (name "-0 keeps its sign") true (is_neg_zero (r (-0.0)));
+      Alcotest.(check bool) (name "+0 stays positive") false (Float.sign_bit (r 0.0));
+      Alcotest.(check bool) (name "tiny negative -> -0") true (is_neg_zero (r (-1e-300)));
+      check_float (name "finite overflow saturates") f.Mf.max_value (r (4.0 *. f.Mf.max_value));
+      check_float (name "max_float saturates") (-.f.Mf.max_value) (r (-.Float.max_float)))
+    [
+      (Mf.e2m1, 6.0, false);
+      (Mf.e4m3, 448.0, true);
+      (Mf.e5m2, infinity, true);
+      (Mf.bf16, infinity, true);
+      (Mf.fp16, infinity, true);
+      (Mf.fp32, infinity, true);
+    ]
+
+let prop_fp32_is_the_cast =
+  QCheck.Test.make ~name:"fp32 round is the binary32 cast" ~count:1000
+    (QCheck.pair (QCheck.float_range 1.0 2.0) (QCheck.int_range (-160) 126))
+    (fun (m, e) ->
+      let x = Float.ldexp m e in
+      Mf.round Mf.fp32 x = Mf.round32 x)
 
 (* ----------------------------------------------------------- Fixed_point *)
 
@@ -402,7 +529,7 @@ let prop_nli_exact_at_breakpoints =
       (* node values are the function samples rounded through the FP16 ROM
          word, and interpolation returns the stored value at a node *)
       Array.for_all
-        (fun x -> Lut.eval fit.Nli.table x = Fp16.round (f x))
+        (fun x -> Lut.eval fit.Nli.table x = Mf.round Mf.fp16 (f x))
         (Lut.breakpoints fit.Nli.table))
 
 let test_nli_scalar_evaluators () =
@@ -554,234 +681,196 @@ let test_ours_backends_close_to_exact () =
         xs)
     [ Approx.fp16_reference; Approx.ours_fp (); Approx.ours_int () ]
 
-(* -------------------------------------------------------------- Bfloat16 *)
+(* ------------------------------------------------------------------ bf16 *)
 
 let test_bf16_known_encodings () =
-  Alcotest.(check int) "1.0" 0x3F80 (Bfloat16.of_float 1.0);
-  Alcotest.(check int) "-2.0" 0xC000 (Bfloat16.of_float (-2.0));
-  Alcotest.(check int) "max" 0x7F7F (Bfloat16.of_float Bfloat16.max_value);
-  Alcotest.(check int) "inf" 0x7F80 (Bfloat16.of_float infinity);
-  Alcotest.(check int) "-inf" 0xFF80 (Bfloat16.of_float neg_infinity);
-  Alcotest.(check int) "nan" 0x7FC0 (Bfloat16.of_float Float.nan);
-  Alcotest.(check int) "+0" 0x0000 (Bfloat16.of_float 0.0)
+  let f = Mf.bf16 in
+  check_encodes f "1.0" 0x3F80 1.0;
+  check_encodes f "-2.0" 0xC000 (-2.0);
+  check_encodes f "max" 0x7F7F f.Mf.max_value;
+  check_encodes f "inf" 0x7F80 infinity;
+  check_encodes f "-inf" 0xFF80 neg_infinity;
+  check_encodes f "nan" 0x7FC0 Float.nan;
+  check_encodes f "+0" 0x0000 0.0
 
 let test_bf16_decode_known () =
-  check_float "decode 1.0" 1.0 (Bfloat16.to_float 0x3F80);
-  check_float "decode max" Bfloat16.max_value (Bfloat16.to_float 0x7F7F);
-  check_float "decode smallest subnormal" Bfloat16.min_positive_subnormal
-    (Bfloat16.to_float 0x0001);
-  Alcotest.(check bool) "decode inf" true (Bfloat16.to_float 0x7F80 = infinity);
-  Alcotest.(check bool) "decode nan" true (Float.is_nan (Bfloat16.to_float 0x7FC0))
+  let d code = Option.get (decode Mf.bf16 code) in
+  check_float "decode 1.0" 1.0 (d 0x3F80);
+  check_float "decode max" Mf.bf16.Mf.max_value (d 0x7F7F);
+  check_float "decode smallest subnormal" (2.0 ** -133.0) (d 0x0001);
+  check_float "min_positive_subnormal" (2.0 ** -133.0) (Mf.min_positive_subnormal Mf.bf16);
+  Alcotest.(check bool) "decode inf" true (d 0x7F80 = infinity);
+  Alcotest.(check bool) "decode nan" true (decode Mf.bf16 0x7FC0 = None)
 
 let test_bf16_round_to_nearest_even () =
   (* 1 + 2^-8 sits exactly between 1.0 and 1 + 2^-7: ties to the even code *)
-  check_float "tie to even (down)" 1.0 (Bfloat16.round (1.0 +. (2.0 ** -8.0)));
-  check_float "tie to even (up)" (1.0 +. (2.0 ** -6.0))
-    (Bfloat16.round (1.0 +. (3.0 *. (2.0 ** -8.0))));
-  check_float "above tie" (1.0 +. (2.0 ** -7.0))
-    (Bfloat16.round (1.0 +. (1.5 *. (2.0 ** -8.0))))
+  let r = Mf.round Mf.bf16 in
+  check_float "tie to even (down)" 1.0 (r (1.0 +. (2.0 ** -8.0)));
+  check_float "tie to even (up)" (1.0 +. (2.0 ** -6.0)) (r (1.0 +. (3.0 *. (2.0 ** -8.0))));
+  check_float "above tie" (1.0 +. (2.0 ** -7.0)) (r (1.0 +. (1.5 *. (2.0 ** -8.0))))
 
 let test_bf16_overflow_and_max_ulp () =
+  let r = Mf.round Mf.bf16 and max = Mf.bf16.Mf.max_value in
   let ulp = 2.0 ** 120.0 (* spacing at the top binade, 2^(127-7) *) in
-  Alcotest.(check bool) "beyond max rounds to inf" true
-    (Bfloat16.round 3.4e38 = infinity);
-  check_float "max stays" Bfloat16.max_value (Bfloat16.round Bfloat16.max_value);
-  check_float "max - 1 ulp stays" (Bfloat16.max_value -. ulp)
-    (Bfloat16.round (Bfloat16.max_value -. ulp));
-  Alcotest.(check bool) "max + 1 ulp rounds to inf" true
-    (Bfloat16.round (Bfloat16.max_value +. ulp) = infinity)
+  check_float "beyond max saturates" max (r 3.4e38);
+  check_float "max stays" max (r max);
+  check_float "max - 1 ulp stays" (max -. ulp) (r (max -. ulp));
+  check_float "max + 1 ulp saturates" max (r (max +. ulp))
 
 let test_bf16_subnormals () =
-  let s = Bfloat16.min_positive_subnormal in
-  check_float "min subnormal exact" s (Bfloat16.round s);
-  check_float "half of it ties to zero" 0.0 (Bfloat16.round (s /. 2.0));
-  check_float "0.75 of it rounds up" s (Bfloat16.round (0.75 *. s));
-  check_float "negative subnormal" (-.s) (Bfloat16.round (-.s))
+  let r = Mf.round Mf.bf16 and s = Mf.min_positive_subnormal Mf.bf16 in
+  check_float "min subnormal exact" s (r s);
+  check_float "half of it ties to zero" 0.0 (r (s /. 2.0));
+  check_float "0.75 of it rounds up" s (r (0.75 *. s));
+  check_float "negative subnormal" (-.s) (r (-.s))
 
 let prop_bf16_roundtrip_idempotent =
   QCheck.Test.make ~name:"bf16 round is idempotent" ~count:1000
     (QCheck.float_range (-1e38) 1e38) (fun x ->
-      let r = Bfloat16.round x in
-      Bfloat16.round r = r)
+      let r = Mf.round Mf.bf16 x in
+      Mf.round Mf.bf16 r = r)
 
 let prop_bf16_half_ulp =
   QCheck.Test.make ~name:"bf16 error within half-ulp" ~count:1000
     (QCheck.float_range 1e-30 1e30) (fun x ->
-      rel_err x (Bfloat16.round x) <= (Bfloat16.epsilon /. 2.0) +. 1e-12)
+      rel_err x (Mf.round Mf.bf16 x) <= (2.0 ** -8.0) +. 1e-12)
 
 let prop_bf16_codes_roundtrip =
   QCheck.Test.make ~name:"bf16 all codes decode/encode stable" ~count:1
     QCheck.unit (fun () ->
-      (* every 16-bit pattern: decode then re-encode is the identity up to
-         NaN canonicalization *)
-      let ok = ref true in
-      for code = 0 to 0xFFFF do
-        let v = Bfloat16.to_float code in
-        let back = Bfloat16.of_float v in
-        if Float.is_nan v then ok := !ok && Float.is_nan (Bfloat16.to_float back)
-        else ok := !ok && back = code
-      done;
-      !ok)
+      check_all_codes Mf.bf16;
+      true)
 
-(* ------------------------------------------------------------------- Fp8 *)
+(* ------------------------------------------------------------------- FP8 *)
 
 let test_fp8_known_values () =
-  check_float "e4m3 max" 448.0 (Fp8.max_value Fp8.e4m3);
-  check_float "e5m2 max" 57344.0 (Fp8.max_value Fp8.e5m2);
-  check_float "e4m3 min subnormal" (2.0 ** -9.0)
-    (Fp8.min_positive_subnormal Fp8.e4m3);
-  check_float "e5m2 min subnormal" (2.0 ** -16.0)
-    (Fp8.min_positive_subnormal Fp8.e5m2);
-  check_float "e4m3 1.0" 1.0 (Fp8.round Fp8.e4m3 1.0);
-  check_float "e5m2 -2.0" (-2.0) (Fp8.round Fp8.e5m2 (-2.0))
+  check_float "e4m3 max" 448.0 Mf.e4m3.Mf.max_value;
+  check_float "e5m2 max" 57344.0 Mf.e5m2.Mf.max_value;
+  check_float "e4m3 min subnormal" (2.0 ** -9.0) (Mf.min_positive_subnormal Mf.e4m3);
+  check_float "e5m2 min subnormal" (2.0 ** -16.0) (Mf.min_positive_subnormal Mf.e5m2);
+  check_float "e4m3 1.0" 1.0 (Mf.round Mf.e4m3 1.0);
+  check_float "e5m2 -2.0" (-2.0) (Mf.round Mf.e5m2 (-2.0))
 
 let test_fp8_saturation () =
   (* E4M3 has no infinity: everything beyond max (infinity included)
      saturates; E5M2 keeps true infinities but saturates finite overflow *)
-  check_float "e4m3 500 -> 448" 448.0 (Fp8.round Fp8.e4m3 500.0);
-  check_float "e4m3 inf -> 448" 448.0 (Fp8.round Fp8.e4m3 infinity);
-  check_float "e4m3 -inf -> -448" (-448.0) (Fp8.round Fp8.e4m3 neg_infinity);
-  check_float "e5m2 1e6 -> 57344" 57344.0 (Fp8.round Fp8.e5m2 1e6);
-  Alcotest.(check bool) "e5m2 inf stays inf" true
-    (Fp8.round Fp8.e5m2 infinity = infinity);
+  check_float "e4m3 500 -> 448" 448.0 (Mf.round Mf.e4m3 500.0);
+  check_float "e4m3 inf -> 448" 448.0 (Mf.round Mf.e4m3 infinity);
+  check_float "e4m3 -inf -> -448" (-448.0) (Mf.round Mf.e4m3 neg_infinity);
+  check_float "e5m2 1e6 -> 57344" 57344.0 (Mf.round Mf.e5m2 1e6);
+  Alcotest.(check bool) "e5m2 inf stays inf" true (Mf.round Mf.e5m2 infinity = infinity);
   Alcotest.(check bool) "e5m2 -inf stays -inf" true
-    (Fp8.round Fp8.e5m2 neg_infinity = neg_infinity);
+    (Mf.round Mf.e5m2 neg_infinity = neg_infinity);
   Alcotest.(check bool) "nan stays nan (both)" true
-    (Float.is_nan (Fp8.round Fp8.e4m3 Float.nan)
-    && Float.is_nan (Fp8.round Fp8.e5m2 Float.nan))
+    (Float.is_nan (Mf.round Mf.e4m3 Float.nan) && Float.is_nan (Mf.round Mf.e5m2 Float.nan))
 
 let test_fp8_max_pm_one_ulp () =
   List.iter
     (fun (f, ulp) ->
-      let m = Fp8.max_value f in
-      check_float (f.Fp8.name ^ " max stays") m (Fp8.round f m);
-      check_float (f.Fp8.name ^ " max - ulp stays") (m -. ulp)
-        (Fp8.round f (m -. ulp));
-      check_float (f.Fp8.name ^ " max + ulp saturates") m (Fp8.round f (m +. ulp)))
-    [ (Fp8.e4m3, 32.0); (Fp8.e5m2, 8192.0) ]
+      let m = f.Mf.max_value in
+      check_float (f.Mf.name ^ " max stays") m (Mf.round f m);
+      check_float (f.Mf.name ^ " max - ulp stays") (m -. ulp) (Mf.round f (m -. ulp));
+      check_float (f.Mf.name ^ " max + ulp saturates") m (Mf.round f (m +. ulp)))
+    [ (Mf.e4m3, 32.0); (Mf.e5m2, 8192.0) ]
 
 let test_fp8_subnormals () =
   List.iter
     (fun f ->
-      let s = Fp8.min_positive_subnormal f in
-      check_float (f.Fp8.name ^ " min subnormal exact") s (Fp8.round f s);
-      check_float (f.Fp8.name ^ " half ties to zero") 0.0 (Fp8.round f (s /. 2.0));
-      check_float (f.Fp8.name ^ " 0.75x rounds up") s (Fp8.round f (0.75 *. s));
-      check_float (f.Fp8.name ^ " negative") (-.s) (Fp8.round f (-.s)))
-    [ Fp8.e4m3; Fp8.e5m2 ]
+      let s = Mf.min_positive_subnormal f in
+      check_float (f.Mf.name ^ " min subnormal exact") s (Mf.round f s);
+      check_float (f.Mf.name ^ " half ties to zero") 0.0 (Mf.round f (s /. 2.0));
+      check_float (f.Mf.name ^ " 0.75x rounds up") s (Mf.round f (0.75 *. s));
+      check_float (f.Mf.name ^ " negative") (-.s) (Mf.round f (-.s)))
+    [ Mf.e4m3; Mf.e5m2 ]
 
 let test_fp8_all_codes_roundtrip () =
-  (* all 256 encodings: decode then re-encode is the identity up to NaN
-     canonicalization (E5M2 has a NaN row; E4M3 only S.1111.111) *)
-  List.iter
-    (fun f ->
-      for code = 0 to 255 do
-        let v = Fp8.to_float f code in
-        let back = Fp8.of_float f v in
-        if Float.is_nan v then
-          Alcotest.(check bool)
-            (Printf.sprintf "%s code %#x nan-canonical" f.Fp8.name code)
-            true
-            (Float.is_nan (Fp8.to_float f back))
-        else
-          Alcotest.(check int)
-            (Printf.sprintf "%s code %#x" f.Fp8.name code)
-            code back
-      done)
-    [ Fp8.e4m3; Fp8.e5m2 ]
+  (* all 256 codes of each layout: E5M2 has an IEEE NaN row, E4M3 only
+     S.1111.111 *)
+  check_all_codes Mf.e4m3;
+  check_all_codes Mf.e5m2
 
-let prop_fp8_idempotent fmt =
+let prop_fp8_idempotent (f : Mf.t) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "fp8 %s round is idempotent" fmt.Fp8.name)
+    ~name:(Printf.sprintf "fp8 %s round is idempotent" f.name)
     ~count:1000
     (QCheck.float_range (-60000.0) 60000.0)
     (fun x ->
-      let r = Fp8.round fmt x in
-      Fp8.round fmt r = r)
+      let r = Mf.round f x in
+      Mf.round f r = r)
 
-let prop_fp8_nearest fmt =
+let prop_fp8_nearest (f : Mf.t) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "fp8 %s rounds to nearest" fmt.Fp8.name)
+    ~name:(Printf.sprintf "fp8 %s rounds to nearest" f.name)
     ~count:1000
-    (QCheck.float_range (-.Fp8.max_value fmt) (Fp8.max_value fmt))
+    (QCheck.float_range (-.f.max_value) f.max_value)
     (fun x ->
       (* the Numfmt quantum is the proven half-ulp bound at |x|'s binade *)
-      let q =
-        Numfmt.quantum (Numfmt.Fp8 fmt) ~mag:(Float.max (Float.abs x) 1e-12)
-      in
-      Float.abs (Fp8.round fmt x -. x) <= q)
+      let q = Numfmt.quantum (Numfmt.Float f) ~mag:(Float.max (Float.abs x) 1e-12) in
+      Float.abs (Mf.round f x -. x) <= q)
 
-(* ------------------------------------------------------------------- Fp4 *)
+(* ------------------------------------------------------------------- FP4 *)
+
+let fp4 = Mf.round Mf.e2m1
 
 let test_fp4_known_values () =
-  check_float "max" 6.0 Fp4.max_value;
-  check_float "min subnormal" 0.5 Fp4.min_positive_subnormal;
-  check_float "1.0" 1.0 (Fp4.round 1.0);
-  check_float "-1.5" (-1.5) (Fp4.round (-1.5));
-  check_float "0.5" 0.5 (Fp4.round 0.5)
+  check_float "max" 6.0 Mf.e2m1.Mf.max_value;
+  check_float "min subnormal" 0.5 (Mf.min_positive_subnormal Mf.e2m1);
+  check_float "1.0" 1.0 (fp4 1.0);
+  check_float "-1.5" (-1.5) (fp4 (-1.5));
+  check_float "0.5" 0.5 (fp4 0.5)
 
 let test_fp4_saturation () =
   (* the encoding has no infinity and no NaN: overflow saturates to +/-6
      and NaN falls to zero *)
-  check_float "7 -> 6" 6.0 (Fp4.round 7.0);
-  check_float "inf -> 6" 6.0 (Fp4.round infinity);
-  check_float "-inf -> -6" (-6.0) (Fp4.round neg_infinity);
-  check_float "-5 -> -4" (-4.0) (Fp4.round (-5.0));
-  check_float "nan -> 0" 0.0 (Fp4.round Float.nan)
+  check_float "7 -> 6" 6.0 (fp4 7.0);
+  check_float "inf -> 6" 6.0 (fp4 infinity);
+  check_float "-inf -> -6" (-6.0) (fp4 neg_infinity);
+  check_float "-5 -> -4" (-4.0) (fp4 (-5.0));
+  check_float "nan -> 0" 0.0 (fp4 Float.nan)
 
 let test_fp4_round_to_nearest_even () =
   (* positive magnitudes are 0 0.5 1 1.5 2 3 4 6; ties go to the even
      mantissa code *)
-  check_float "0.25 ties to 0" 0.0 (Fp4.round 0.25);
-  check_float "0.75 ties to 1" 1.0 (Fp4.round 0.75);
-  check_float "1.25 ties to 1" 1.0 (Fp4.round 1.25);
-  check_float "2.5 ties to 2" 2.0 (Fp4.round 2.5);
-  check_float "3.5 ties to 4" 4.0 (Fp4.round 3.5);
-  check_float "5 ties to 4" 4.0 (Fp4.round 5.0)
+  check_float "0.25 ties to 0" 0.0 (fp4 0.25);
+  check_float "0.75 ties to 1" 1.0 (fp4 0.75);
+  check_float "1.25 ties to 1" 1.0 (fp4 1.25);
+  check_float "2.5 ties to 2" 2.0 (fp4 2.5);
+  check_float "3.5 ties to 4" 4.0 (fp4 3.5);
+  check_float "5 ties to 4" 4.0 (fp4 5.0)
 
 let test_fp4_all_codes_roundtrip () =
-  (* all 16 encodings are finite and decode/re-encode is the identity,
-     including the signed zero at 0x8 *)
+  (* all 16 codes are finite, including the signed zero at 0x8 *)
   for code = 0 to 15 do
-    let v = Fp4.to_float code in
     Alcotest.(check bool)
       (Printf.sprintf "code %#x finite" code)
       true
-      (Float.is_finite v);
-    Alcotest.(check int) (Printf.sprintf "code %#x" code) code (Fp4.of_float v)
+      (Option.fold ~none:false ~some:Float.is_finite (decode Mf.e2m1 code))
   done;
+  check_all_codes Mf.e2m1;
   Alcotest.(check bool) "0x8 is negative zero" true
-    (Fp4.to_float 0x8 = 0.0 && 1.0 /. Fp4.to_float 0x8 = neg_infinity)
+    (is_neg_zero (Option.get (decode Mf.e2m1 0x8)))
 
 let prop_fp4_idempotent =
   QCheck.Test.make ~name:"fp4 round is idempotent" ~count:1000
     (QCheck.float_range (-100.0) 100.0)
     (fun x ->
-      let r = Fp4.round x in
-      Fp4.round r = r)
+      let r = fp4 x in
+      fp4 r = r)
 
 let prop_fp4_nearest =
   QCheck.Test.make ~name:"fp4 rounds to nearest" ~count:1000
     (QCheck.float_range (-6.0) 6.0)
     (fun x ->
-      let q = Numfmt.quantum Numfmt.Fp4 ~mag:(Float.max (Float.abs x) 1e-12) in
-      Float.abs (Fp4.round x -. x) <= q)
+      let q = Numfmt.quantum (Numfmt.Float Mf.e2m1) ~mag:(Float.max (Float.abs x) 1e-12) in
+      Float.abs (fp4 x -. x) <= q)
 
 (* ---------------------------------------------------------------- Numfmt *)
 
-let test_numfmt_names_roundtrip () =
-  List.iter
-    (fun fmt ->
-      match Numfmt.of_string (Numfmt.name fmt) with
-      | Some fmt' ->
-          Alcotest.(check string) (Numfmt.name fmt) (Numfmt.name fmt)
-            (Numfmt.name fmt')
-      | None -> Alcotest.failf "of_string failed on %s" (Numfmt.name fmt))
-    Numfmt.catalogue;
-  Alcotest.(check bool) "aliases" true
-    (Numfmt.of_string "e4m3" = Some Numfmt.e4m3
-    && Numfmt.of_string "q4.8" = Some (Numfmt.fixed ~total_bits:12 ~frac_bits:8)
-    && Numfmt.of_string "nope" = None)
+let test_numfmt_names_distinct () =
+  let names = List.map Numfmt.name Numfmt.catalogue in
+  Alcotest.(check int) "no two catalogue formats share a name"
+    (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 let test_numfmt_catalogue_cheapest_first () =
   let rec mono = function
@@ -790,10 +879,55 @@ let test_numfmt_catalogue_cheapest_first () =
   in
   Alcotest.(check bool) "bits non-decreasing" true (mono Numfmt.catalogue)
 
+let test_numfmt_rounds_once () =
+  (* a hair above the midpoint between two codes rounds up; a first
+     rounding through binary32 would land on the midpoint and tie down *)
+  let q f x = Numfmt.quantize (Numfmt.Float f) x in
+  check_float "fp16" (1.0 +. (2.0 ** -10.0)) (q Mf.fp16 (1.0 +. (2.0 ** -11.0) +. (2.0 ** -40.0)));
+  check_float "bf16" (1.0 +. (2.0 ** -7.0)) (q Mf.bf16 (1.0 +. (2.0 ** -8.0) +. (2.0 ** -40.0)))
+
+(* A value within a relative 2^-k, k in [20, 50], of the midpoint between
+   two adjacent codes of [fmt], anywhere in its range: where a second
+   rounding step or a wrong tie rule shows. *)
+let near_midpoint fmt st =
+  let mid =
+    match fmt with
+    | Numfmt.Fixed f ->
+        let lo = Fixed_point.min_int_value f and hi = Fixed_point.max_int_value f in
+        let n = lo + Random.State.full_int st (hi - lo) in
+        Float.ldexp (float_of_int n +. 0.5) (-f.Fixed_point.frac_bits)
+    | Numfmt.Float f ->
+        let mb = f.Mf.mant_bits in
+        let _, e_top = Float.frexp f.Mf.max_value in
+        let emax = e_top - 1 in
+        (* binade e in [emin - 1, emax]; emin - 1 stands for the subnormals *)
+        let e = f.Mf.emin - 1 + Random.State.int st (emax - f.Mf.emin + 2) in
+        let sign = if Random.State.bool st then 1.0 else -1.0 in
+        if e < f.Mf.emin then
+          sign *. Float.ldexp (float_of_int (Random.State.int st (1 lsl mb)) +. 0.5) (f.Mf.emin - mb)
+        else
+          (* the top binade stops at max_value *)
+          let n =
+            if e < emax then 1 lsl mb
+            else int_of_float (Float.ldexp f.Mf.max_value (mb - emax)) - (1 lsl mb)
+          in
+          let m = Random.State.int st n in
+          sign *. Float.ldexp (float_of_int ((1 lsl mb) + m) +. 0.5) (e - mb)
+  in
+  let k = 20 + Random.State.int st 31 in
+  mid *. (1.0 +. Float.ldexp (float_of_int (Random.State.int st 3 - 1)) (-k))
+
 let prop_numfmt_quantize_within_quantum =
-  QCheck.Test.make ~name:"numfmt quantize error within quantum" ~count:500
-    (QCheck.pair (QCheck.int_bound (List.length Numfmt.catalogue - 1))
-       (QCheck.float_range (-2.0) 2.0))
+  let n = List.length Numfmt.catalogue in
+  let gen st =
+    let i = Random.State.int st n in
+    let fmt = List.nth Numfmt.catalogue i in
+    (i, if Random.State.bool st then near_midpoint fmt st else Random.State.float st 4.0 -. 2.0)
+  in
+  QCheck.Test.make ~name:"numfmt quantize error within quantum" ~count:2000
+    (QCheck.make
+       ~print:(fun (i, x) -> Printf.sprintf "%s %h" (Numfmt.name (List.nth Numfmt.catalogue i)) x)
+       gen)
     (fun (i, x) ->
       let fmt = List.nth Numfmt.catalogue i in
       let q = Numfmt.quantum fmt ~mag:(Float.max (Float.abs x) 1e-12) in
@@ -814,8 +948,9 @@ let suite =
       [
         Alcotest.test_case "known encodings" `Quick test_fp16_known_encodings;
         Alcotest.test_case "decode known" `Quick test_fp16_decode_known;
-        Alcotest.test_case "overflow to inf" `Quick test_fp16_overflow_to_inf;
+        Alcotest.test_case "overflow saturates" `Quick test_fp16_overflow_saturates;
         Alcotest.test_case "round to nearest even" `Quick test_fp16_round_to_nearest_even;
+        Alcotest.test_case "all 65536 codes roundtrip" `Quick test_fp16_all_codes_roundtrip;
         qtest prop_fp16_roundtrip_idempotent;
         qtest prop_fp16_relative_error;
         qtest prop_fp16_monotone;
@@ -926,10 +1061,10 @@ let suite =
         Alcotest.test_case "max +/- one ulp" `Quick test_fp8_max_pm_one_ulp;
         Alcotest.test_case "subnormals" `Quick test_fp8_subnormals;
         Alcotest.test_case "all 256 codes roundtrip" `Quick test_fp8_all_codes_roundtrip;
-        qtest (prop_fp8_idempotent Fp8.e4m3);
-        qtest (prop_fp8_idempotent Fp8.e5m2);
-        qtest (prop_fp8_nearest Fp8.e4m3);
-        qtest (prop_fp8_nearest Fp8.e5m2);
+        qtest (prop_fp8_idempotent Mf.e4m3);
+        qtest (prop_fp8_idempotent Mf.e5m2);
+        qtest (prop_fp8_nearest Mf.e4m3);
+        qtest (prop_fp8_nearest Mf.e5m2);
       ] );
     ( "fp4",
       [
@@ -942,11 +1077,19 @@ let suite =
         qtest prop_fp4_idempotent;
         qtest prop_fp4_nearest;
       ] );
+    ( "minifloat",
+      [
+        Alcotest.test_case "midpoints tie to even" `Quick test_minifloat_midpoints;
+        Alcotest.test_case "inf, nan, signed zero, overflow" `Quick
+          test_minifloat_special_values;
+        qtest prop_fp32_is_the_cast;
+      ] );
     ( "numfmt",
       [
-        Alcotest.test_case "names roundtrip" `Quick test_numfmt_names_roundtrip;
+        Alcotest.test_case "catalogue names distinct" `Quick test_numfmt_names_distinct;
         Alcotest.test_case "catalogue cheapest first" `Quick
           test_numfmt_catalogue_cheapest_first;
+        Alcotest.test_case "quantize rounds once" `Quick test_numfmt_rounds_once;
         qtest prop_numfmt_quantize_within_quantum;
         qtest prop_numfmt_quantize_saturates;
       ] );

@@ -17,6 +17,7 @@
 
 open Picachu_ir
 module Numfmt = Picachu_numerics.Numfmt
+module Minifloat = Picachu_numerics.Minifloat
 module Affine = Picachu_verify.Affine
 module Precision = Picachu_verify.Precision
 module Finding = Picachu_verify.Finding
@@ -249,7 +250,7 @@ let test_rounder_quantizes_outputs () =
   (* under the rounder hook every stored value is representable: quantizing
      an output again must be the identity *)
   let k = List.find (fun k -> k.Kernel.name = "gelu") roster in
-  let fmt = Numfmt.e4m3 in
+  let fmt = Numfmt.Float Minifloat.e4m3 in
   let env = { Interp.arrays = run_arrays k fmt 7; scalars = [ ("n", 48.0) ] } in
   let r = Interp.run ~round:(Precision.rounder fmt) k env in
   List.iter
@@ -418,7 +419,7 @@ let test_coupled_loop_walks_to_cap () =
      test, so the walk reaches the trip-bounded extreme: y covers 1024 *)
   Alcotest.(check bool) "validate rejects it" true
     (Result.is_error (Kernel.validate iv_as_data));
-  let r = Precision.analyze ~fmt:Numfmt.Fp32 iv_as_data in
+  let r = Precision.analyze ~fmt:(Numfmt.Float Minifloat.fp32) iv_as_data in
   let _, (_, hi), _ = List.find (fun (s, _, _) -> s = "y") r.Precision.outputs in
   if hi < 1023.0 then Alcotest.failf "precision: stored hi %g < 1023" hi;
   (* at Q8.8 the max overflows, and the finding carries the full
