@@ -64,6 +64,27 @@ if dune exec bin/picachu_cli.exe -- hw-run "$iv_pk"; then
   echo "validation smoke: a kernel reading the induction variable ran"; exit 1
 fi
 
+echo "== kernel text round-trip smoke =="
+# printer -> parser -> compile -> executor -> reference through the CLI:
+# each dumped kernel must read back, run on the fabric and match the
+# interpreter exactly on every output stream; and the IR block that
+# `compile --ir` prints is that same text
+rt_pk="$(mktemp)"
+trap 'rm -f "$iv_pk" "$rt_pk"' EXIT
+for k in softmax layernorm rope gelu; do
+  dune exec bin/picachu_cli.exe -- dump "$k" > "$rt_pk"
+  hw_out="$(dune exec bin/picachu_cli.exe -- hw-run "$rt_pk")"
+  diffs="$(echo "$hw_out" | grep "max |hw - interp| = ")" || {
+    echo "round-trip smoke ($k): no max |hw - interp| line"; exit 1; }
+  echo "$diffs"
+  if echo "$diffs" | grep -vq "max |hw - interp| = 0$"; then
+    echo "round-trip smoke ($k): hardware and interpreter differ"; exit 1
+  fi
+  ir_out="$(dune exec bin/picachu_cli.exe -- compile "$k" --ir)"
+  echo "$ir_out" | sed '/^endkernel$/q' | cmp -s - "$rt_pk" || {
+    echo "round-trip smoke ($k): compile --ir does not print the dump"; exit 1; }
+done
+
 echo "== approximation backend smoke =="
 # the Taylor-vs-NLI head-to-head must run end to end (compile both rosters,
 # bound or surrogate-measure each operator) and NLI must actually win the

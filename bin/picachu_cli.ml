@@ -72,7 +72,10 @@ let compile_cmd =
     Arg.(value & opt int 1 & info [ "vector" ] ~docv:"VF"
            ~doc:"Vector lanes (1 = FP path, 4 = INT16 path).")
   in
-  let show_ir = Arg.(value & flag & info [ "ir" ] ~doc:"Print the kernel IR.") in
+  let show_ir =
+    Arg.(value & flag & info [ "ir" ]
+           ~doc:"Print the kernel IR in the textual kernel format (as $(b,dump) does).")
+  in
   let timings =
     Arg.(value & flag & info [ "timings" ]
            ~doc:"Print the per-pass pipeline instrumentation (runs, wall \
@@ -95,7 +98,7 @@ let compile_cmd =
         Printf.eprintf "unknown kernel %s\n" name;
         exit 1
     in
-    if show_ir then Format.printf "%a@." Kernel.pp kernel;
+    if show_ir then print_endline (Picachu_ir.Kernel_text.to_string kernel);
     (match dump_after with
     | None -> ()
     | Some pass when List.mem pass Compiler.pass_names ->

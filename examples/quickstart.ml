@@ -5,6 +5,7 @@
 
 module Kernels = Picachu_ir.Kernels
 module Kernel = Picachu_ir.Kernel
+module Kernel_text = Picachu_ir.Kernel_text
 module Interp = Picachu_ir.Interp
 module Arch = Picachu_cgra.Arch
 module Mapper = Picachu_cgra.Mapper
@@ -14,7 +15,7 @@ let () =
   (* 1. Pick a kernel from the Table 1 library: softmax, in its PICACHU
      form (FP2FX special unit + Taylor expansion). *)
   let kernel = Kernels.softmax Kernels.picachu in
-  Format.printf "Kernel IR:@.%a@." Kernel.pp kernel;
+  Printf.printf "Kernel IR:\n%s\n" (Kernel_text.to_string kernel);
 
   (* 2. Compile it: vectorize/unroll -> DFG -> fuse -> modulo-schedule onto
      the heterogeneous 4x4 CGRA. The unroll factor is auto-tuned. *)

@@ -3,7 +3,6 @@ module Instr = Picachu_ir.Instr
 module Kernel = Picachu_ir.Kernel
 module Interp = Picachu_ir.Interp
 module Dfg = Picachu_dfg.Dfg
-module Nm = Picachu_numerics
 
 exception Timing_violation of string
 exception Execution_error of string
@@ -16,27 +15,6 @@ type result = {
   out_scalars : (string * float) list;
   cycles : int;
 }
-
-let eval_binop (op : Op.binop) a b =
-  match op with
-  | Add -> a +. b
-  | Sub -> a -. b
-  | Mul -> a *. b
-  | Div -> a /. b
-  | Max -> Float.max a b
-  | Min -> Float.min a b
-
-let eval_cmp (op : Op.cmpop) a b =
-  let r =
-    match op with
-    | Op.Lt -> a < b
-    | Op.Le -> a <= b
-    | Op.Gt -> a > b
-    | Op.Ge -> a >= b
-    | Op.Eq -> a = b
-    | Op.Ne -> a <> b
-  in
-  if r then 1.0 else 0.0
 
 let run_loop ?fault arch (loop : Kernel.loop) (g : Dfg.t) (m : Mapper.mapping)
     ~arrays ~scalars =
@@ -143,12 +121,6 @@ let run_loop ?fault arch (loop : Kernel.loop) (g : Dfg.t) (m : Mapper.mapping)
           match i.Instr.op with
           | Op.Const _ | Op.Input _ -> fail "%s: register op owned by a node" loop.Kernel.label
           | Op.Phi -> if k = 0 then arg 0 else arg ~back:true 1
-          | Op.Bin op -> eval_binop op (arg 0) (arg 1)
-          | Op.Un Op.Neg -> -.arg 0
-          | Op.Un Op.Abs -> Float.abs (arg 0)
-          | Op.Un Op.Floor -> Float.floor (arg 0)
-          | Op.Cmp op -> eval_cmp op (arg 0) (arg 1)
-          | Op.Select -> if arg 0 <> 0.0 then arg 1 else arg 2
           | Op.Load s ->
               (* the address register is a real dependence on the induction
                  value: verify its timing even though the AGU computes the
@@ -166,16 +138,8 @@ let run_loop ?fault arch (loop : Kernel.loop) (g : Dfg.t) (m : Mapper.mapping)
               let idx = base + i.Instr.offset in
               if idx < Array.length out then out.(idx) <- v;
               v
-          | Op.Fp2fx_int ->
-              let ip, _ = Nm.Fixed_point.split (arg 0) in
-              float_of_int ip
-          | Op.Fp2fx_frac ->
-              let _, fp = Nm.Fixed_point.split (arg 0) in
-              fp
-          | Op.Shift_exp -> Float.ldexp (arg 0) (int_of_float (Float.round (arg 1)))
-          | Op.Lut name -> Nm.Lut.eval (Interp.lookup_lut name) (arg 0)
-          | Op.Br -> arg 0
           | Op.Fused _ -> fail "%s: fused opcode with no members" loop.Kernel.label
+          | op -> Interp.eval_op op arg
         in
         (* FU output corruption latches into the result register and
            propagates; memory/routing ops (load, store, phi, br) have no FU

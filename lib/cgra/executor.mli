@@ -9,8 +9,11 @@
     wrong offset after unrolling) surfaces as a {!Timing_violation} rather
     than silently producing the right value at the wrong time.
 
-    Functional results must equal the sequential reference interpreter —
-    asserted across the whole kernel library in the test suite. *)
+    Operand semantics come from {!Picachu_ir.Interp.eval_op}, the same
+    definition the reference interpreter runs; the executor adds the
+    timing, routing and fault model around it.  Functional results must
+    equal the sequential reference interpreter — asserted across the whole
+    kernel library in the test suite. *)
 
 module Kernel = Picachu_ir.Kernel
 module Dfg = Picachu_dfg.Dfg

@@ -1,8 +1,3 @@
 type t = { id : int; op : Op.t; args : int list; offset : int }
 
 let make ?(offset = 0) ~id ~op ~args () = { id; op; args; offset }
-
-let pp fmt i =
-  Format.fprintf fmt "%%%d = %a" i.id Op.pp i.op;
-  List.iter (fun a -> Format.fprintf fmt " %%%d" a) i.args;
-  if i.offset <> 0 then Format.fprintf fmt " [+%d]" i.offset

@@ -14,4 +14,3 @@
 type t = { id : int; op : Op.t; args : int list; offset : int }
 
 val make : ?offset:int -> id:int -> op:Op.t -> args:int list -> unit -> t
-val pp : Format.formatter -> t -> unit

@@ -40,6 +40,30 @@ let eval_cmp (op : Op.cmpop) a b =
   in
   if r then 1.0 else 0.0
 
+(* Operands are read through [arg] in the order these expressions apply
+   it (OCaml evaluates application arguments right to left): an engine
+   whose reads have side effects, such as the executor's fault draws,
+   depends on that order. *)
+let eval_op (op : Op.t) arg =
+  match op with
+  | Bin b -> eval_binop b (arg 0) (arg 1)
+  | Un Neg -> -.arg 0
+  | Un Abs -> Float.abs (arg 0)
+  | Un Floor -> Float.floor (arg 0)
+  | Cmp c -> eval_cmp c (arg 0) (arg 1)
+  | Select -> if arg 0 <> 0.0 then arg 1 else arg 2
+  (* the FP2FX split x = floor x + frac, kept in float so that a value
+     past the int range (or NaN) splits the same on every platform *)
+  | Fp2fx_int -> Float.floor (arg 0)
+  | Fp2fx_frac ->
+      let x = arg 0 in
+      x -. Float.floor x
+  | Shift_exp -> Float.ldexp (arg 0) (int_of_float (Float.round (arg 1)))
+  | Lut name -> Nm.Lut.eval (lookup_lut name) (arg 0)
+  | Br -> arg 0
+  | Const _ | Input _ | Phi | Load _ | Store _ | Fused _ ->
+      invalid_arg ("Interp.eval_op: " ^ Op.name op ^ " is not a function of its operands")
+
 let rec eval_sexpr scalars = function
   | Kernel.Svar s -> (
       match List.assoc_opt s scalars with
@@ -123,12 +147,6 @@ let run_loop ?round (loop : Kernel.loop) ~arrays ~scalars ~outputs =
               | Some v -> v
               | None -> fail "%s: missing scalar %s" loop.label s)
           | Op.Phi -> if iter = 0 then arg 0 else prev.(List.nth i.args 1)
-          | Op.Bin op -> eval_binop op (arg 0) (arg 1)
-          | Op.Un Neg -> -.arg 0
-          | Op.Un Abs -> Float.abs (arg 0)
-          | Op.Un Floor -> Float.floor (arg 0)
-          | Op.Cmp op -> eval_cmp op (arg 0) (arg 1)
-          | Op.Select -> if arg 0 <> 0.0 then arg 1 else arg 2
           | Op.Load s ->
               let a = get_array s in
               let idx = base + i.offset in
@@ -139,16 +157,8 @@ let run_loop ?round (loop : Kernel.loop) ~arrays ~scalars ~outputs =
               let idx = base + i.offset in
               if idx < Array.length a then a.(idx) <- values.(List.nth i.args 1);
               values.(List.nth i.args 1)
-          | Op.Fp2fx_int ->
-              let ip, _ = Nm.Fixed_point.split (arg 0) in
-              float_of_int ip
-          | Op.Fp2fx_frac ->
-              let _, fp = Nm.Fixed_point.split (arg 0) in
-              fp
-          | Op.Shift_exp -> Float.ldexp (arg 0) (int_of_float (Float.round (arg 1)))
-          | Op.Lut name -> Nm.Lut.eval (lookup_lut name) (arg 0)
-          | Op.Br -> arg 0
           | Op.Fused _ -> fail "%s: fused op in IR interpreter" loop.label
+          | op -> eval_op op arg
         in
         values.(i.id) <- round_instr i v)
       body;

@@ -7,8 +7,9 @@
     input/output behaviour (fusion and unrolling are interpreted by
     re-expanding fused nodes / stepping offsets).
 
-    Special ops execute their hardware semantics: [Fp2fx_*] split through
-    {!Picachu_numerics.Fixed_point.split}, [Shift_exp] is [ldexp] with a
+    Special ops execute their hardware semantics: [Fp2fx_*] split [x] into
+    [floor x] and [x - floor x] (the decomposition of
+    {!Picachu_numerics.Fixed_point.split}), [Shift_exp] is [ldexp] with a
     rounded shift amount, [Lut] evaluates the named CoT table. *)
 
 type env = {
@@ -40,6 +41,15 @@ val run :
     result before it is written back (staged once per loop, so the hook can
     precompute per-loop facts such as the control skeleton).  The default
     is the identity — plain float64 reference semantics. *)
+
+val eval_op : Op.t -> (int -> float) -> float
+(** [eval_op op arg] is the value of every opcode that depends only on its
+    operands, [arg i] reading operand [i]: arithmetic, [Un], [Cmp] (1.0 or
+    0.0), [Select] (any nonzero condition, NaN included, picks the second
+    operand), [Fp2fx_*], [Shift_exp], [Lut] and [Br] (its condition).  The
+    one definition both this interpreter and the cycle-timed executor run.
+    Raises [Invalid_argument] on [Const], [Input], [Phi], [Load], [Store]
+    and [Fused], whose values each engine supplies itself. *)
 
 val eval_sexpr : (string * float) list -> Kernel.sexpr -> float
 

@@ -25,8 +25,8 @@ type t = {
   scalar_inputs : string list;
 }
 
-let instr_count loop = List.length loop.body
-let kernel_instr_count k = List.fold_left (fun acc l -> acc + instr_count l) 0 k.loops
+let kernel_instr_count k =
+  List.fold_left (fun acc l -> acc + List.length l.body) 0 k.loops
 let find loop id = List.find (fun (i : Instr.t) -> i.id = id) loop.body
 
 let rec finite_sexpr = function
@@ -136,16 +136,16 @@ let validate_loop (k : t) (loop : loop) =
                     err "store to undeclared output %s" s
                 | Op.Const c when not (Float.is_finite c) ->
                     err "instruction %%%d (const): non-finite constant %g" i.id c
+                | Op.Fused _ ->
+                    (* only DFG fusion creates these, on DFG nodes *)
+                    err "instruction %%%d (%s): fused opcodes exist only in DFGs" i.id
+                      (Op.name i.op)
                 | _ -> check rest))
   in
   match check ids with
   | Error _ as e -> e
   | Ok () ->
-      let brs =
-        List.filter (fun (i : Instr.t) ->
-            match i.op with Op.Br | Op.Fused Op.Cmp_br -> true | _ -> false)
-          loop.body
-      in
+      let brs = List.filter (fun (i : Instr.t) -> i.op = Op.Br) loop.body in
       if List.length brs <> 1 then err "expected exactly one branch, found %d" (List.length brs)
       else if loop.step < 1 then err "step < 1"
       else if loop.vector_width < 1 then err "vector_width < 1"
@@ -169,99 +169,3 @@ let validate k =
     | l :: rest -> ( match validate_loop k l with Ok () -> all rest | e -> e)
   in
   all k.loops
-
-(* ---------------------------------------------------- canonical hashing *)
-
-(* A canonical serialization for content addressing: every semantically
-   meaningful field, in a fixed order, with the kernel name and the loop
-   labels deliberately omitted — two kernels that differ only in naming are
-   the same compilation problem and must share a cache entry.  Floats are
-   rendered with %h (exact hex) so the serialization never loses bits. *)
-
-let canonical_op buf (op : Op.t) =
-  let add = Buffer.add_string buf in
-  match op with
-  | Op.Const v -> add (Printf.sprintf "const:%h" v)
-  | Op.Bin b -> add ("bin:" ^ Op.name (Op.Bin b))
-  | Op.Un u -> add (Op.name (Op.Un u))
-  | Op.Cmp c ->
-      add
-        ("cmp:"
-        ^
-        match c with
-        | Op.Lt -> "lt"
-        | Op.Le -> "le"
-        | Op.Gt -> "gt"
-        | Op.Ge -> "ge"
-        | Op.Eq -> "eq"
-        | Op.Ne -> "ne")
-  | Op.Select -> add "select"
-  | Op.Phi -> add "phi"
-  | Op.Load s -> add ("load:" ^ s)
-  | Op.Store s -> add ("store:" ^ s)
-  | Op.Input s -> add ("input:" ^ s)
-  | Op.Fp2fx_int -> add "fp2fx.i"
-  | Op.Fp2fx_frac -> add "fp2fx.f"
-  | Op.Shift_exp -> add "shexp"
-  | Op.Lut s -> add ("lut:" ^ s)
-  | Op.Br -> add "br"
-  | Op.Fused f -> add ("fused:" ^ Op.name (Op.Fused f))
-
-let rec canonical_sexpr buf = function
-  | Svar v -> Buffer.add_string buf ("v:" ^ v)
-  | Sconst c -> Buffer.add_string buf (Printf.sprintf "c:%h" c)
-  | Sbin (op, a, b) ->
-      Buffer.add_string buf ("(" ^ Op.name (Op.Bin op) ^ " ");
-      canonical_sexpr buf a;
-      Buffer.add_char buf ' ';
-      canonical_sexpr buf b;
-      Buffer.add_char buf ')'
-  | Sisqrt e ->
-      Buffer.add_string buf "(isqrt ";
-      canonical_sexpr buf e;
-      Buffer.add_char buf ')'
-
-let canonical_string (k : t) =
-  let buf = Buffer.create 512 in
-  let add = Buffer.add_string buf in
-  add (match k.klass with EO -> "EO" | RE -> "RE");
-  add ";in=";
-  add (String.concat "," k.inputs);
-  add ";out=";
-  add (String.concat "," k.outputs);
-  add ";scal=";
-  add (String.concat "," k.scalar_inputs);
-  List.iter
-    (fun l ->
-      add
-        (Printf.sprintf ";loop[red=%b,step=%d,vw=%d]" l.reduction l.step
-           l.vector_width);
-      List.iter
-        (fun (name, e) ->
-          add (";pre " ^ name ^ "=");
-          canonical_sexpr buf e)
-        l.pre;
-      List.iter
-        (fun (name, id) -> add (Printf.sprintf ";exp %s=%d" name id))
-        l.exports;
-      List.iter
-        (fun (i : Instr.t) ->
-          add (Printf.sprintf ";%d=" i.id);
-          canonical_op buf i.op;
-          List.iter (fun a -> add (Printf.sprintf " %d" a)) i.args;
-          if i.offset <> 0 then add (Printf.sprintf " +%d" i.offset))
-        l.body)
-    k.loops;
-  Buffer.contents buf
-
-let structural_digest k = Digest.to_hex (Digest.string (canonical_string k))
-
-let pp fmt k =
-  Format.fprintf fmt "kernel %s (%s)@." k.name
-    (match k.klass with EO -> "EO" | RE -> "RE");
-  List.iter
-    (fun l ->
-      Format.fprintf fmt "  loop %s (step %d, vw %d)%s@." l.label l.step l.vector_width
-        (if l.reduction then " [reduction]" else "");
-      List.iter (fun i -> Format.fprintf fmt "    %a@." Instr.pp i) l.body)
-    k.loops

@@ -39,28 +39,16 @@ type t = {
   scalar_inputs : string list;  (** required scalar live-ins, e.g. ["n"] *)
 }
 
-val instr_count : loop -> int
 val kernel_instr_count : t -> int
 val find : loop -> int -> Instr.t
 (** Lookup by id; raises [Not_found]. *)
 
 val validate : t -> (unit, string) result
 (** Structural checks: ids dense and ordered, args resolve, the only forward
-    references are phi back edges, exactly one [Br], stores name declared
+    references are phi back edges, no opcode is fused (fusion belongs to
+    the DFG), exactly one [Br], stores name declared
     outputs, loads name declared inputs, every [Const] and every [pre]
     constant is finite, and the induction phi and its increment are read
     only by each other, the loop compare and load/store address operands
     (and are never exported) — the unroller re-bases addresses through
     [offset], so it would give any other reader copy 0's index. *)
-
-val canonical_string : t -> string
-(** Canonical serialization for content addressing: every semantically
-    meaningful field in a fixed order, with the kernel name and the loop
-    labels omitted — two kernels that differ only in naming describe the
-    same compilation problem.  Floats are serialized exactly (hex). *)
-
-val structural_digest : t -> string
-(** MD5 hex digest of {!canonical_string} — the kernel component of the
-    compiler's content-addressed cache key. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,87 +3,102 @@ exception Parse_error of string
 let fail line fmt =
   Printf.ksprintf (fun s -> raise (Parse_error (Printf.sprintf "line %d: %s" line s))) fmt
 
+(* ------------------------------------------------------------- opcodes *)
+
+let cmp_preds =
+  [ (Op.Lt, "lt"); (Op.Le, "le"); (Op.Gt, "gt"); (Op.Ge, "ge"); (Op.Eq, "eq"); (Op.Ne, "ne") ]
+
+(* Every opcode without an operand field, keyed by its spelling.  The
+   printer writes and the parser reads through this one table: [Op.name]
+   spells all of them except [cmp], which carries its predicate. *)
+let mnemonics =
+  List.map
+    (fun op -> (Op.name op, op))
+    Op.
+      [
+        Bin Add; Bin Sub; Bin Mul; Bin Div; Bin Max; Bin Min; Un Neg; Un Abs;
+        Un Floor; Select; Phi; Fp2fx_int; Fp2fx_frac; Shift_exp; Br;
+      ]
+  @ List.map (fun (c, p) -> ("cmp." ^ p, Op.Cmp c)) cmp_preds
+
 (* ------------------------------------------------------------- printing *)
 
-let binop_text = function
-  | Op.Add -> "add"
-  | Op.Sub -> "sub"
-  | Op.Mul -> "mul"
-  | Op.Div -> "div"
-  | Op.Max -> "max"
-  | Op.Min -> "min"
+(* Fused opcodes print as their mnemonic (e.g. [cmp+select]), which the
+   parser does not accept. *)
+let add_op buf op =
+  let add = Buffer.add_string buf in
+  match op with
+  | Op.Const v -> add (Printf.sprintf "const %h" v)
+  | Op.Input s -> add "input "; add s
+  | Op.Load s -> add "load "; add s
+  | Op.Store s -> add "store "; add s
+  | Op.Lut s -> add "lut "; add s
+  | Op.Cmp c -> add "cmp."; add (List.assoc c cmp_preds)
+  | op -> add (Op.name op)
 
-let cmp_text = function
-  | Op.Lt -> "cmp.lt"
-  | Op.Le -> "cmp.le"
-  | Op.Gt -> "cmp.gt"
-  | Op.Ge -> "cmp.ge"
-  | Op.Eq -> "cmp.eq"
-  | Op.Ne -> "cmp.ne"
-
-let op_text = function
-  | Op.Const v -> Printf.sprintf "const %h" v
-  | Op.Input s -> "input " ^ s
-  | Op.Bin b -> binop_text b
-  | Op.Un Op.Neg -> "neg"
-  | Op.Un Op.Abs -> "abs"
-  | Op.Un Op.Floor -> "floor"
-  | Op.Cmp c -> cmp_text c
-  | Op.Select -> "select"
-  | Op.Phi -> "phi"
-  | Op.Load s -> "load " ^ s
-  | Op.Store s -> "store " ^ s
-  | Op.Fp2fx_int -> "fp2fx.i"
-  | Op.Fp2fx_frac -> "fp2fx.f"
-  | Op.Shift_exp -> "shexp"
-  | Op.Lut s -> "lut " ^ s
-  | Op.Br -> "br"
-  | Op.Fused _ -> invalid_arg "Kernel_text: fused opcodes are not serializable"
-
-let rec sexpr_text = function
-  | Kernel.Svar s -> s
-  | Kernel.Sconst v -> Printf.sprintf "%h" v
+let rec add_sexpr buf = function
+  | Kernel.Svar s -> Buffer.add_string buf s
+  | Kernel.Sconst v -> Buffer.add_string buf (Printf.sprintf "%h" v)
   | Kernel.Sbin (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (sexpr_text a) (binop_text op) (sexpr_text b)
-  | Kernel.Sisqrt e -> Printf.sprintf "isqrt(%s)" (sexpr_text e)
+      Buffer.add_char buf '(';
+      add_sexpr buf a;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Op.name (Op.Bin op));
+      Buffer.add_char buf ' ';
+      add_sexpr buf b;
+      Buffer.add_char buf ')'
+  | Kernel.Sisqrt e ->
+      Buffer.add_string buf "isqrt(";
+      add_sexpr buf e;
+      Buffer.add_char buf ')'
 
-let loop_text (l : Kernel.loop) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "loop %s%s step=%d vw=%d\n" l.Kernel.label
-       (if l.Kernel.reduction then " reduction" else "")
-       l.Kernel.step l.Kernel.vector_width);
-  List.iter
-    (fun (name, e) -> Buffer.add_string buf (Printf.sprintf "  pre %s = %s\n" name (sexpr_text e)))
-    l.Kernel.pre;
-  List.iter
-    (fun (name, id) -> Buffer.add_string buf (Printf.sprintf "  export %s = %%%d\n" name id))
-    l.Kernel.exports;
-  List.iter
-    (fun (i : Instr.t) ->
-      Buffer.add_string buf (Printf.sprintf "  %%%d = %s" i.Instr.id (op_text i.Instr.op));
-      List.iter (fun a -> Buffer.add_string buf (Printf.sprintf " %%%d" a)) i.Instr.args;
-      if i.Instr.offset <> 0 then Buffer.add_string buf (Printf.sprintf " +%d" i.Instr.offset);
-      Buffer.add_char buf '\n')
-    l.Kernel.body;
-  Buffer.add_string buf "endloop\n";
-  Buffer.contents buf
-
-let to_string (k : Kernel.t) =
+(* [anon] writes the kernel name and every loop label as [_]. *)
+let print ~anon (k : Kernel.t) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "kernel %s %s\n" k.Kernel.name
-       (match k.Kernel.klass with Kernel.EO -> "EO" | Kernel.RE -> "RE"));
+  let add = Buffer.add_string buf in
+  let add_ref id = add " %"; add (string_of_int id) in
+  let name s = if anon then "_" else s in
+  add "kernel ";
+  add (name k.name);
+  add (match k.klass with Kernel.EO -> " EO\n" | Kernel.RE -> " RE\n");
   let names kw = function
     | [] -> ()
-    | l -> Buffer.add_string buf (kw ^ " " ^ String.concat " " l ^ "\n")
+    | l -> add kw; List.iter (fun s -> add " "; add s) l; add "\n"
   in
-  names "inputs" k.Kernel.inputs;
-  names "outputs" k.Kernel.outputs;
-  names "scalars" k.Kernel.scalar_inputs;
-  List.iter (fun l -> Buffer.add_string buf (loop_text l)) k.Kernel.loops;
-  Buffer.add_string buf "endkernel\n";
+  names "inputs" k.inputs;
+  names "outputs" k.outputs;
+  names "scalars" k.scalar_inputs;
+  List.iter
+    (fun (l : Kernel.loop) ->
+      add "loop ";
+      add (name l.label);
+      if l.reduction then add " reduction";
+      add " step=";
+      add (string_of_int l.step);
+      add " vw=";
+      add (string_of_int l.vector_width);
+      add "\n";
+      List.iter
+        (fun (v, e) -> add "  pre "; add v; add " = "; add_sexpr buf e; add "\n")
+        l.pre;
+      List.iter (fun (v, id) -> add "  export "; add v; add " ="; add_ref id; add "\n") l.exports;
+      List.iter
+        (fun (i : Instr.t) ->
+          add " ";
+          add_ref i.id;
+          add " = ";
+          add_op buf i.op;
+          List.iter add_ref i.args;
+          if i.offset <> 0 then (add " +"; add (string_of_int i.offset));
+          add "\n")
+        l.body;
+      add "endloop\n")
+    k.loops;
+  add "endkernel\n";
   Buffer.contents buf
+
+let to_string k = print ~anon:false k
+let structural_digest k = Digest.to_hex (Digest.string (print ~anon:true k))
 
 (* -------------------------------------------------------------- parsing *)
 
@@ -101,24 +116,6 @@ let parse_float line tok =
   match float_of_string_opt tok with
   | Some v -> v
   | None -> fail line "bad number %s" tok
-
-let binop_of_text = function
-  | "add" -> Some Op.Add
-  | "sub" -> Some Op.Sub
-  | "mul" -> Some Op.Mul
-  | "div" -> Some Op.Div
-  | "max" -> Some Op.Max
-  | "min" -> Some Op.Min
-  | _ -> None
-
-let cmp_of_text = function
-  | "cmp.lt" -> Some Op.Lt
-  | "cmp.le" -> Some Op.Le
-  | "cmp.gt" -> Some Op.Gt
-  | "cmp.ge" -> Some Op.Ge
-  | "cmp.eq" -> Some Op.Eq
-  | "cmp.ne" -> Some Op.Ne
-  | _ -> None
 
 (* Expression parser for the pre-scalar glue: fully parenthesized binary
    expressions, isqrt(...), numbers, identifiers. *)
@@ -153,9 +150,9 @@ let parse_sexpr line text =
         skip_ws ();
         let op_tok = ident_or_number () in
         let op =
-          match binop_of_text op_tok with
-          | Some o -> o
-          | None -> fail line "unknown operator %s in expression" op_tok
+          match List.assoc_opt op_tok mnemonics with
+          | Some (Op.Bin o) -> o
+          | _ -> fail line "unknown operator %s in expression" op_tok
         in
         let b = expr () in
         skip_ws ();
@@ -207,43 +204,18 @@ let parse_instr line toks =
         go [] 0 rest
       in
       let op, rest =
-        match op_tok with
-        | "const" -> (
-            match rest with
-            | v :: t -> (Op.Const (parse_float line v), t)
-            | [] -> fail line "const needs a value")
-        | "input" -> (
-            match rest with
-            | s :: t -> (Op.Input s, t)
-            | [] -> fail line "input needs a name")
-        | "load" -> (
-            match rest with
-            | s :: t -> (Op.Load s, t)
-            | [] -> fail line "load needs a stream")
-        | "store" -> (
-            match rest with
-            | s :: t -> (Op.Store s, t)
-            | [] -> fail line "store needs a stream")
-        | "lut" -> (
-            match rest with
-            | s :: t -> (Op.Lut s, t)
-            | [] -> fail line "lut needs a table name")
-        | "neg" -> (Op.Un Op.Neg, rest)
-        | "abs" -> (Op.Un Op.Abs, rest)
-        | "floor" -> (Op.Un Op.Floor, rest)
-        | "select" -> (Op.Select, rest)
-        | "phi" -> (Op.Phi, rest)
-        | "fp2fx.i" -> (Op.Fp2fx_int, rest)
-        | "fp2fx.f" -> (Op.Fp2fx_frac, rest)
-        | "shexp" -> (Op.Shift_exp, rest)
-        | "br" -> (Op.Br, rest)
-        | tok -> (
-            match binop_of_text tok with
-            | Some b -> (Op.Bin b, rest)
-            | None -> (
-                match cmp_of_text tok with
-                | Some c -> (Op.Cmp c, rest)
-                | None -> fail line "unknown opcode %s" tok))
+        match (op_tok, rest) with
+        | "const", v :: t -> (Op.Const (parse_float line v), t)
+        | "input", s :: t -> (Op.Input s, t)
+        | "load", s :: t -> (Op.Load s, t)
+        | "store", s :: t -> (Op.Store s, t)
+        | "lut", s :: t -> (Op.Lut s, t)
+        | ("const" | "input" | "load" | "store" | "lut"), [] ->
+            fail line "%s needs an operand" op_tok
+        | tok, _ -> (
+            match List.assoc_opt tok mnemonics with
+            | Some op -> (op, rest)
+            | None -> fail line "unknown opcode %s" tok)
       in
       let args, offset = take_refs rest in
       Instr.make ~offset ~id ~op ~args ()

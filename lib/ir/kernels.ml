@@ -10,6 +10,7 @@ let variant_name = function
   | Picachu Nli -> "picachu-nli"
   | Baseline -> "baseline"
 
+(* polynomial order of the kernel expansions, matching Taylor.default *)
 let taylor_order = 6
 let use_fp2fx = function Picachu _ -> true | Baseline -> false
 

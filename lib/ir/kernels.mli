@@ -40,10 +40,6 @@ val backend_name : backend -> string
 val variant_name : variant -> string
 (** ["picachu"], ["picachu-nli"], ["baseline"]. *)
 
-val taylor_order : int
-(** Polynomial order used in kernel expansions (6, matching
-    {!Picachu_numerics.Taylor.default}). *)
-
 val relu : variant -> Kernel.t
 val softmax : variant -> Kernel.t
 (** Three-loop form (max-reduce, exp-and-sum, divide). *)

@@ -51,7 +51,3 @@ let mathematical_operators = function
   | Gelu | Geglu | Swiglu | Silu -> [ "division"; "exponential" ]
   | Layernorm | Rmsnorm -> [ "inverted square root" ]
   | Rope -> [ "sine"; "cosine" ]
-
-let vectorizable = function
-  | Softmax -> true (* the divide loop splits per lane but still vectorizes *)
-  | Relu | Gelu | Geglu | Swiglu | Silu | Layernorm | Rmsnorm | Rope -> true

@@ -36,7 +36,3 @@ val streams_per_element : opkind -> int
 
 val mathematical_operators : opkind -> string list
 (** Table 1's "Mathematical Operator" column. *)
-
-val vectorizable : opkind -> bool
-(** Whether the INT16 4-lane mode applies (division-free inner loops
-    vectorize fully; softmax's divide loop splits, §5.3.3). *)

@@ -182,7 +182,8 @@ let verify_compiled (opts : options) (c : compiled) =
   in
   Finding.errors (Verify.lint_kernel c.kernel @ structural)
 
-let compile_result (opts : options) (k : Kernel.t) =
+(* the best unroll candidate for a kernel that validates *)
+let autotune (opts : options) (k : Kernel.t) =
   Atomic.incr compile_runs;
   let candidates =
     match opts.unroll_candidates with [] -> [ 1 ] | l -> l
@@ -216,6 +217,14 @@ let compile_result (opts : options) (k : Kernel.t) =
              kernel = k.Kernel.name;
              findings = List.map (fun f -> "after " ^ pass ^ ": " ^ f) findings;
            })
+
+let compile_result (opts : options) (k : Kernel.t) =
+  match Kernel.validate k with
+  | Ok () -> autotune opts k
+  | Error e ->
+      Error
+        (Picachu_error.Verification_failed
+           { kernel = k.Kernel.name; findings = [ "invalid kernel: " ^ e ] })
 
 let compile (opts : options) (k : Kernel.t) =
   match compile_result opts k with
@@ -255,7 +264,7 @@ let cache_key (opts : options) (k : Kernel.t) =
     (Digest.string
        (String.concat "|"
           [
-            Kernel.structural_digest k;
+            Kernel_text.structural_digest k;
             Arch.structural_digest opts.arch;
             string_of_bool opts.fuse;
             string_of_int opts.vector;

@@ -58,7 +58,10 @@ val compile_with_unroll : options -> int -> Kernel.t -> compiled
     [PICACHU_VERIFY] knob on). *)
 
 val compile_result : options -> Kernel.t -> (compiled, Picachu_error.t) result
-(** Auto-tuned over [unroll_candidates] (best steady-state cycles at a
+(** The input is first checked with {!Picachu_ir.Kernel.validate}: a
+    malformed kernel (for example one carrying a fused opcode) returns
+    [Error (Verification_failed _)] with one ["invalid kernel: …"] finding
+    before any pass runs.  Auto-tuned over [unroll_candidates] (best steady-state cycles at a
     1024-element pass); candidates that fail to map are skipped.  When
     {e every} candidate fails, returns
     [Error (Unmappable { kernel; reasons })] carrying each candidate's
@@ -101,7 +104,7 @@ val per_channel_cycles : compiled -> dim:int -> int
 
 val cache_key : options -> Kernel.t -> string
 (** The content address: an MD5 hex digest over
-    [Kernel.structural_digest kernel | Arch.structural_digest arch | fuse |
+    [Kernel_text.structural_digest kernel | Arch.structural_digest arch | fuse |
     vector | unroll_candidates].  Kernel and loop {e names} are not part of
     the address — structurally identical kernels share an entry. *)
 

@@ -314,18 +314,11 @@ let fig7c () =
 let fig7d () =
   let scalar = Compiler.picachu_options () in
   let vec = Compiler.picachu_options ~vector:4 () in
-  List.filter_map
+  List.map
     (fun (k : Kernel.t) ->
-      let vectorizable =
-        match Picachu_nonlinear.Registry.of_name_opt k.Kernel.name with
-        | Some op -> Picachu_nonlinear.Registry.vectorizable op
-        | None -> true (* library extras, e.g. softmax_online *)
-      in
-      if vectorizable then
-        let s = Compiler.pass_cycles (Compiler.cached scalar Kernels.picachu k.Kernel.name) ~n:seq in
-        let v = Compiler.pass_cycles (Compiler.cached vec Kernels.picachu k.Kernel.name) ~n:seq in
-        Some (k.Kernel.name, float_of_int s /. float_of_int v)
-      else None)
+      let s = Compiler.pass_cycles (Compiler.cached scalar Kernels.picachu k.Kernel.name) ~n:seq in
+      let v = Compiler.pass_cycles (Compiler.cached vec Kernels.picachu k.Kernel.name) ~n:seq in
+      (k.Kernel.name, float_of_int s /. float_of_int v))
     (Kernels.all Kernels.picachu)
 
 (* ------------------------------------------------------------- fig8/fig9 *)

@@ -90,8 +90,9 @@ val fig7c : unit -> (string * (float * float) list) list
     effectively unlimited buffer). *)
 
 val fig7d : unit -> (string * float) list
-(** Per vectorizable kernel: INT16 4-lane speedup over the scalar FP path
-    (below the theoretical 4x, §5.3.3). *)
+(** Per library kernel (every one vectorizes; softmax's divide loop splits
+    per lane): INT16 4-lane speedup over the scalar FP path (below the
+    theoretical 4x, §5.3.3). *)
 
 (* -- Figures 8/9: end-to-end ----------------------------------------------- *)
 

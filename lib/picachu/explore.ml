@@ -4,6 +4,7 @@ module Fu = Picachu_cgra.Fu
 module Mapper = Picachu_cgra.Mapper
 module Kernels = Picachu_ir.Kernels
 module Kernel = Picachu_ir.Kernel
+module Kernel_text = Picachu_ir.Kernel_text
 module Stats = Picachu_tensor.Stats
 module Parallel = Picachu_parallel.Parallel
 
@@ -91,7 +92,7 @@ let evaluate_arch ?(backend = Kernels.Taylor) (arch : Arch.t) =
      (the mapper keeps all its state local), so one design point fans its
      unique roster out across the domain pool. *)
   let results =
-    dedup_map Kernel.structural_digest (Compiler.memo_result opts)
+    dedup_map Kernel_text.structural_digest (Compiler.memo_result opts)
       (Array.of_list (kernel_roster ~backend ()))
   in
   let throughputs =

@@ -57,7 +57,7 @@ val evaluate :
     {!Picachu_cgra.Mapper.Unmappable} only if some kernel cannot map at any
     candidate unroll factor (kernels that fail are skipped; a point where
     *no* kernel maps raises).  The roster is deduplicated by
-    {!Picachu_ir.Kernel.structural_digest} before fan-out, so structurally
+    {!Picachu_ir.Kernel_text.structural_digest} before fan-out, so structurally
     shared kernels compile once per point.  Compiles go through the
     content-addressed cache ({!Compiler.memo_result}); call
     {!Compiler.cache_clear} first to measure genuine compiles. *)

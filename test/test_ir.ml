@@ -101,6 +101,102 @@ let test_validate_rejects_undeclared_stream () =
       Alcotest.(check bool) "mentions stream" true (string_contains e "mystery")
   | Ok () -> Alcotest.fail "undeclared load not caught"
 
+(* relu with its compare+select written as the fused DFG opcode: only the
+   fusion pass makes fused nodes, so kernel IR carrying one is malformed *)
+let relu_with_fused_select () =
+  let k = Kernels.relu Kernels.picachu in
+  let fuse (i : Instr.t) =
+    if i.Instr.op = Op.Select then { i with Instr.op = Op.Fused Op.Cmp_sel } else i
+  in
+  {
+    k with
+    Kernel.loops =
+      List.map
+        (fun (l : Kernel.loop) -> { l with Kernel.body = List.map fuse l.Kernel.body })
+        k.Kernel.loops;
+  }
+
+let test_validate_rejects_fused () =
+  let k = relu_with_fused_select () in
+  (match Kernel.validate k with
+  | Error e ->
+      Alcotest.(check string) "names the fused instruction"
+        "relu.1: instruction %4 (cmp+select): fused opcodes exist only in DFGs" e
+  | Ok () -> Alcotest.fail "fused opcode in kernel IR accepted");
+  (* the interpreter reports it as an invalid kernel, not a runtime fault *)
+  (match run_kernel k ~arrays:[ ("x", [| 1.0 |]) ] ~scalars:(input_n 1) with
+  | _ -> Alcotest.fail "interpreter ran a fused opcode"
+  | exception Interp.Runtime_error e ->
+      Alcotest.(check bool) "invalid kernel" true (string_contains e "invalid kernel"));
+  (* the text form prints the mnemonic and refuses to read it back *)
+  let text = Kernel_text.to_string k in
+  Alcotest.(check bool) "prints the mnemonic" true
+    (string_contains text "%4 = cmp+select %3 %2 %0");
+  match Kernel_text.of_string text with
+  | _ -> Alcotest.fail "fused opcode parsed"
+  | exception Kernel_text.Parse_error e ->
+      Alcotest.(check bool) "unknown opcode" true
+        (string_contains e "unknown opcode cmp+select")
+
+(* -------------------------------------------------------- Opcode semantics *)
+
+(* bit-equal, with every NaN equal to every NaN (so -0.0 <> 0.0) *)
+let same_float a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The one definition of operand-only opcodes, which both the reference
+   interpreter and the cycle-timed executor run, pinned at its edges. *)
+let test_eval_op_edges () =
+  let preds =
+    Op.[ (Lt, "lt", 0.0); (Le, "le", 0.0); (Gt, "gt", 0.0); (Ge, "ge", 0.0);
+         (Eq, "eq", 0.0); (Ne, "ne", 1.0) ]
+  in
+  let cases =
+    [
+      ("shexp 1 by 2.5 (rounds to 3)", Op.Shift_exp, [ 1.0; 2.5 ], 8.0);
+      ("shexp 3 by -2", Op.Shift_exp, [ 3.0; -2.0 ], 3.0 /. 4.0);
+      ("shexp 1 by -2.5 (rounds to -3)", Op.Shift_exp, [ 1.0; -2.5 ], 1.0 /. 8.0);
+      ("fp2fx.i -1.25", Op.Fp2fx_int, [ -1.25 ], -2.0);
+      ("fp2fx.f -1.25", Op.Fp2fx_frac, [ -1.25 ], 0.75);
+      ("fp2fx.i 1e30", Op.Fp2fx_int, [ 1e30 ], 1e30);
+      ("fp2fx.f 1e30", Op.Fp2fx_frac, [ 1e30 ], 0.0);
+      ("fp2fx.i nan", Op.Fp2fx_int, [ Float.nan ], Float.nan);
+      ("fp2fx.f nan", Op.Fp2fx_frac, [ Float.nan ], Float.nan);
+      ("select on -0.0 takes the false arm", Op.Select, [ -0.0; 1.0; 2.0 ], 2.0);
+      ("select on nan takes the true arm", Op.Select, [ Float.nan; 1.0; 2.0 ], 1.0);
+      ("floor -0.5", Op.Un Op.Floor, [ -0.5 ], -1.0);
+      ("floor -0.0 keeps the sign", Op.Un Op.Floor, [ -0.0 ], -0.0);
+      ("div 1 by +0", Op.Bin Op.Div, [ 1.0; 0.0 ], Float.infinity);
+      ("div 1 by -0", Op.Bin Op.Div, [ 1.0; -0.0 ], Float.neg_infinity);
+      ("div 0 by 0", Op.Bin Op.Div, [ 0.0; 0.0 ], Float.nan);
+      (* the table clamps to its end words, Phi(+-6) in FP16 *)
+      ("lut phi above its range", Op.Lut "phi", [ 10.0 ], 1.0);
+      ("lut phi below its range", Op.Lut "phi", [ -10.0 ], 0.0);
+      ("br passes its condition", Op.Br, [ 0.5 ], 0.5);
+    ]
+    @ List.concat_map
+        (fun (c, p, expected) ->
+          [
+            ("cmp." ^ p ^ " 1 nan", Op.Cmp c, [ 1.0; Float.nan ], expected);
+            ("cmp." ^ p ^ " nan 1", Op.Cmp c, [ Float.nan; 1.0 ], expected);
+            ("cmp." ^ p ^ " nan nan", Op.Cmp c, [ Float.nan; Float.nan ], expected);
+          ])
+        preds
+  in
+  List.iter
+    (fun (what, op, args, expected) ->
+      let got = Interp.eval_op op (List.nth args) in
+      if not (same_float got expected) then
+        Alcotest.failf "%s: got %h, expected %h" what got expected)
+    cases;
+  List.iter
+    (fun op ->
+      match Interp.eval_op op (fun _ -> 0.0) with
+      | _ -> Alcotest.failf "%s evaluated from operands alone" (Op.name op)
+      | exception Invalid_argument _ -> ())
+    [ Op.Const 1.0; Op.Input "n"; Op.Phi; Op.Load "x"; Op.Store "y"; Op.Fused Op.Mul_add ]
+
 (* ------------------------------------------------------------ Interp/math *)
 
 let test_relu_interp () =
@@ -438,7 +534,10 @@ let suite =
         Alcotest.test_case "rejects bad ids" `Quick test_validate_rejects_bad_ids;
         Alcotest.test_case "rejects undeclared stream" `Quick
           test_validate_rejects_undeclared_stream;
+        Alcotest.test_case "rejects fused opcodes" `Quick test_validate_rejects_fused;
       ] );
+    ( "opcode-semantics",
+      [ Alcotest.test_case "eval_op at the edges" `Quick test_eval_op_edges ] );
     ( "interp",
       [
         Alcotest.test_case "relu" `Quick test_relu_interp;

@@ -99,7 +99,7 @@ let test_digest_stable_across_pools () =
     List.map
       (fun size ->
         Parallel.with_pool ~size (fun () ->
-            (Kernel.structural_digest k, Compiler.cache_key (opts ()) k)))
+            (Kernel_text.structural_digest k, Compiler.cache_key (opts ()) k)))
       [ 1; 2; 4 ]
   in
   match digests with
@@ -196,7 +196,7 @@ let test_roster_digests_unique () =
       let tbl = Hashtbl.create 16 in
       List.iter
         (fun (k : Kernel.t) ->
-          let d = Kernel.structural_digest k in
+          let d = Kernel_text.structural_digest k in
           (match Hashtbl.find_opt tbl d with
           | Some other ->
               Alcotest.failf "%s and %s are structurally identical"
@@ -270,13 +270,23 @@ let test_dump_after_roundtrip () =
       let parsed = Kernel_text.of_string text in
       Alcotest.(check string)
         "--dump-after unroll round-trips to the transformed kernel"
-        (Kernel.structural_digest (Transform.unroll_kernel 2 k))
-        (Kernel.structural_digest parsed)
+        (Kernel_text.structural_digest (Transform.unroll_kernel 2 k))
+        (Kernel_text.structural_digest parsed)
   | l -> Alcotest.failf "expected exactly one unroll dump, got %d" (List.length l)
 
 let test_pass_failure_names_pass () =
+  (* a load offset past the loop step is well-formed IR (it validates) but
+     fails the linter's post-condition at the first pass *)
   let k = Kernels.relu Kernels.picachu in
-  let bad = { k with Kernel.outputs = [] } in
+  let loop = List.hd k.Kernel.loops in
+  let far (i : Picachu_ir.Instr.t) =
+    match i.Picachu_ir.Instr.op with
+    | Picachu_ir.Op.Load _ -> { i with Picachu_ir.Instr.offset = 3 }
+    | _ -> i
+  in
+  let bad =
+    { k with Kernel.loops = [ { loop with Kernel.body = List.map far loop.Kernel.body } ] }
+  in
   match Compiler.compile_result (opts ()) bad with
   | Error (Picachu_error.Verification_failed { findings; _ }) ->
       Alcotest.(check bool) "finding names the offending pass" true
@@ -286,6 +296,26 @@ let test_pass_failure_names_pass () =
                String.length f > 6 && String.sub f 0 6 = "after ")
              findings)
   | _ -> Alcotest.fail "bad kernel passed the per-pass gate"
+
+let test_invalid_input_rejected () =
+  (* only the fusion pass makes fused opcodes: one in the input IR would
+     compile, and then fail untyped in the interpreter and the executor *)
+  let expect what k =
+    match Compiler.memo_result (opts ()) k with
+    | Error (Picachu_error.Verification_failed { kernel; findings }) ->
+        Alcotest.(check string) (what ^ ": kernel named") "relu" kernel;
+        Alcotest.(check bool) (what ^ ": one input finding") true
+          (match findings with
+          | [ f ] -> String.length f > 15 && String.sub f 0 15 = "invalid kernel:"
+          | _ -> false)
+    | Ok _ -> Alcotest.failf "%s: compiled" what
+    | Error e -> Alcotest.failf "%s: %s" what (Picachu_error.to_string e)
+  in
+  let before = Compiler.compile_count () in
+  expect "fused opcode" (Test_ir.relu_with_fused_select ());
+  let relu = Kernels.relu Kernels.picachu in
+  expect "undeclared output" { relu with Kernel.outputs = [] };
+  Alcotest.(check int) "no pass ran" before (Compiler.compile_count ())
 
 (* ------------------------------------------------------- explore dedup *)
 
@@ -432,6 +462,7 @@ let suite =
           test_dump_after_roundtrip;
         Alcotest.test_case "verify failure names the pass" `Quick
           test_pass_failure_names_pass;
+        Alcotest.test_case "invalid input rejected" `Quick test_invalid_input_rejected;
         Alcotest.test_case "explore memoizes repeat design points" `Slow
           test_explore_memoization;
         Alcotest.test_case "golden: experiments transcript subset" `Slow

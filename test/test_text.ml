@@ -193,6 +193,85 @@ let test_validation_rejects_edits () =
   ignore (Kernel_text.of_string relu);
   ignore (Kernel_text.of_string layernorm)
 
+(* ------------------------------------------------------ digest contract *)
+
+let map_loop idx f (k : Kernel.t) =
+  { k with Kernel.loops = List.mapi (fun j l -> if j = idx then f l else l) k.Kernel.loops }
+
+let map_instr id f (l : Kernel.loop) =
+  {
+    l with
+    Kernel.body =
+      List.map (fun (i : Instr.t) -> if i.Instr.id = id then f i else i) l.Kernel.body;
+  }
+
+let rec succ_consts = function
+  | Kernel.Sconst v -> Kernel.Sconst (Float.succ v)
+  | Kernel.Svar _ as e -> e
+  | Kernel.Sbin (op, a, b) -> Kernel.Sbin (op, succ_consts a, succ_consts b)
+  | Kernel.Sisqrt e -> Kernel.Sisqrt (succ_consts e)
+
+(* The cache address ignores names and nothing else: renaming the kernel or
+   any loop keeps it, and each single-field edit moves it. *)
+let test_digest_contract () =
+  let k = Kernels.layernorm Kernels.picachu in
+  let d = Kernel_text.structural_digest k in
+  let renamed =
+    {
+      k with
+      Kernel.name = "other";
+      loops =
+        List.mapi
+          (fun j (l : Kernel.loop) -> { l with Kernel.label = Printf.sprintf "L%d" j })
+          k.Kernel.loops;
+    }
+  in
+  Alcotest.(check string) "renaming kernel and loops keeps the digest" d
+    (Kernel_text.structural_digest renamed);
+  Alcotest.(check string) "renaming one loop keeps the digest" d
+    (Kernel_text.structural_digest
+       (map_loop 1 (fun l -> { l with Kernel.label = "x" }) k));
+  let edits =
+    [
+      ("klass", { k with Kernel.klass = Kernel.EO });
+      ("stream name", { k with Kernel.inputs = [ "z" ] });
+      ("step", map_loop 1 (fun l -> { l with Kernel.step = 2 }) k);
+      ("vector_width", map_loop 1 (fun l -> { l with Kernel.vector_width = 4 }) k);
+      ("reduction flag", map_loop 0 (fun l -> { l with Kernel.reduction = false }) k);
+      ( "pre constant one ulp up",
+        map_loop 1
+          (fun l ->
+            { l with Kernel.pre = List.map (fun (v, e) -> (v, succ_consts e)) l.Kernel.pre })
+          k );
+      ( "export id",
+        map_loop 0
+          (fun l ->
+            {
+              l with
+              Kernel.exports =
+                List.map
+                  (fun (v, id) -> if v = "sum" then (v, id - 1) else (v, id))
+                  l.Kernel.exports;
+            })
+          k );
+      ( "opcode",
+        map_loop 0 (map_instr 5 (fun i -> { i with Instr.op = Op.Bin Op.Add })) k );
+      ("argument", map_loop 0 (map_instr 5 (fun i -> { i with Instr.args = [ 2; 0 ] })) k);
+      ("offset", map_loop 0 (map_instr 2 (fun i -> { i with Instr.offset = 1 })) k);
+      ( "const 0.0 to -0.0",
+        map_loop 0 (map_instr 0 (fun i -> { i with Instr.op = Op.Const (-0.0) })) k );
+    ]
+  in
+  List.iter
+    (fun (what, k') ->
+      if Kernel_text.structural_digest k' = d then
+        Alcotest.failf "%s: edit kept the digest" what)
+    edits;
+  (* and the edits are pairwise distinct from each other *)
+  let digests = List.map (fun (_, k') -> Kernel_text.structural_digest k') edits in
+  Alcotest.(check int) "every edit lands on its own digest" (List.length edits)
+    (List.length (List.sort_uniq compare digests))
+
 (* random-kernel roundtrip: reuse the fuzz generator *)
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"text roundtrip on random kernels" ~count:80 QCheck.small_nat
@@ -213,6 +292,7 @@ let suite =
         Alcotest.test_case "validation rejects edits" `Quick
           test_validation_rejects_edits;
         Alcotest.test_case "error line numbers" `Quick test_line_numbers_in_errors;
+        Alcotest.test_case "digest contract" `Quick test_digest_contract;
         qtest prop_roundtrip_random;
       ] );
   ]
