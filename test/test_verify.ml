@@ -638,6 +638,85 @@ let test_analysis_golden () =
   Alcotest.(check string) "precision transcript digest" analysis_golden_pin
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* A reduction whose accumulator feeds [max acc 100]: while the sum stays
+   below 100 the max is the constant (no noise symbol), about 50 rounds in
+   it stops being dominated and allocates one, and the symbol of the load
+   that follows it meets that value in the subtraction. *)
+let dominated_max_text =
+  {|kernel dommax RE
+inputs x
+outputs y
+scalars n
+loop dommax.1 reduction step=1 vw=1
+  export s = %5
+  %0 = const 0x0p+0
+  %1 = phi %0 %11
+  %2 = load x %1
+  %3 = const 0x1.9p+6
+  %4 = phi %0 %5
+  %5 = add %4 %2
+  %6 = max %5 %3
+  %7 = load x %1
+  %8 = sub %6 %7
+  %9 = store y %1 %8
+  %10 = const 0x1p+0
+  %11 = add %1 %10
+  %12 = input n
+  %13 = cmp.lt %11 %12
+  %14 = br %13
+endloop
+endkernel
+|}
+
+(* The same golden over transformed kernels: the Taylor/NLI library
+   unrolled, vectorized and both, plus [dominated_max_text], in every
+   catalogue format.  Unrolled and vectorized bodies sum three or more
+   noise symbols, so the order the fixpoint allocates them in reaches the
+   last ulp here where it does not on the plain kernels. *)
+let transformed_golden_pin = "981be7344fb38a0d519bf9f910d550ed"
+
+let test_transformed_golden () =
+  let b = Buffer.create 262144 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+  let transforms =
+    [
+      ("unroll2", Transform.unroll_kernel 2);
+      ("unroll4", Transform.unroll_kernel 4);
+      ("vector4", Transform.vectorize_kernel 4);
+      ("vector4-unroll2", fun k -> Transform.unroll_kernel 2 (Transform.vectorize_kernel 4 k));
+    ]
+  in
+  let cases =
+    List.concat_map
+      (fun variant ->
+        List.concat_map
+          (fun (tag, f) ->
+            List.map
+              (fun (k : Kernel.t) -> (variant_name variant, tag, f k))
+              (library variant))
+          transforms)
+      [ Kernels.picachu; Kernels.picachu_nli ]
+    @ [ ("text", "plain", Kernel_text.of_string dominated_max_text) ]
+  in
+  List.iter
+    (fun (vname, tag, (k : Kernel.t)) ->
+      List.iter
+        (fun fmt ->
+          let r = Precision.analyze ~fmt k in
+          line "precision %s %s/%s %s bound %h" vname k.Kernel.name tag
+            (Numfmt.name fmt) r.Precision.bound;
+          List.iter
+            (fun (s, (lo, hi), e) -> line "  out %s [%h, %h] err %h" s lo hi e)
+            r.Precision.outputs;
+          List.iter
+            (fun f -> line "  %s" (Finding.to_string f))
+            (Finding.sort r.Precision.findings))
+        Numfmt.catalogue)
+    cases;
+  Alcotest.(check string) "transformed precision transcript digest"
+    transformed_golden_pin
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --------------------------------------------------------------- gate wiring *)
 
 let test_gate_rejects_bad_kernel () =
@@ -701,6 +780,8 @@ let suite =
         Alcotest.test_case "interp outputs within proven intervals" `Quick
           test_interp_within_proven_intervals;
         Alcotest.test_case "precision golden" `Quick test_analysis_golden;
+        Alcotest.test_case "precision golden transformed" `Quick
+          test_transformed_golden;
         Alcotest.test_case "verify gate rejects bad kernel" `Quick
           test_gate_rejects_bad_kernel;
       ] );
