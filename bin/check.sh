@@ -18,7 +18,23 @@ echo "== compilation pipeline smoke =="
 dune exec bin/picachu_cli.exe -- compile softmax --timings
 # ... and the content-addressed cache effective: `stats` compiles the whole
 # library twice and exits non-zero if the second sweep misses the cache
-dune exec bin/picachu_cli.exe -- stats
+stats_out="$(dune exec bin/picachu_cli.exe -- stats)"
+echo "$stats_out"
+
+echo "== precision-effort budget gate =="
+# `stats` also selects a format for each PICACHU library kernel; its
+# select-format row must stay under a pinned ceiling of full-body fixpoint
+# rounds — reductions iterate only their accumulator's cone once the rest
+# of the loop settles, so a regression to whole-body rounds shows here
+# (measured: 340 full rounds of 32442; ceiling 1.3x)
+full_rounds="$(echo "$stats_out" | sed -n 's/^select-format .*full-rounds=\([0-9]*\).*/\1/p')"
+[ -n "$full_rounds" ] || {
+  echo "precision effort: no full-rounds counter in the select-format row"; exit 1; }
+if [ "$full_rounds" -gt 442 ]; then
+  echo "precision effort regression: $full_rounds full rounds exceeds ceiling 442"
+  exit 1
+fi
+echo "precision effort: $full_rounds full rounds (ceiling 442)"
 
 echo "== search-effort budget gate =="
 # the full-roster DSE sweep from a cold cache must stay under a pinned

@@ -58,7 +58,16 @@ let eval_op (op : Op.t) arg =
   | Fp2fx_frac ->
       let x = arg 0 in
       x -. Float.floor x
-  | Shift_exp -> Float.ldexp (arg 0) (int_of_float (Float.round (arg 1)))
+  (* int_of_float is unspecified for NaN and past the int range: a NaN
+     shift gives NaN, and the shift is clamped to +-2100 first, where
+     ldexp has saturated already *)
+  | Shift_exp ->
+      let k = arg 1 in
+      let x = arg 0 in
+      if Float.is_nan k then Float.nan
+      else
+        let k = Float.min 2100.0 (Float.max (-2100.0) k) in
+        Float.ldexp x (int_of_float (Float.round k))
   | Lut name -> Nm.Lut.eval (lookup_lut name) (arg 0)
   | Br -> arg 0
   | Const _ | Input _ | Phi | Load _ | Store _ | Fused _ ->

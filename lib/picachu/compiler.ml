@@ -56,11 +56,15 @@ let pass_names = [ "vectorize"; "unroll"; "extract"; "fuse"; "schedule" ]
 let () =
   List.iter Pipeline.declare pass_names;
   Pipeline.declare "select-format";
-  (* the precision analyzer's fixpoint rounds surface under format
-     selection, the pass that runs it during a compile *)
+  (* the precision analyzer's fixpoint rounds, and how many of them
+     evaluated the whole loop body, surface under format selection, the
+     pass that runs it during a compile *)
   Pipeline.register_counter_source ~pass:"select-format"
     ~reset:Absint.reset_fixpoint_rounds (fun () ->
-      [ ("fixpoint-rounds", Absint.fixpoint_rounds ()) ]);
+      [
+        ("fixpoint-rounds", Absint.fixpoint_rounds ());
+        ("full-rounds", Absint.full_rounds ());
+      ]);
   (* the mapper's search-effort atomics surface under the schedule pass *)
   Pipeline.register_counter_source ~pass:"schedule"
     ~reset:Mapper.reset_counters (fun () ->

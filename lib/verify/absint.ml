@@ -48,6 +48,8 @@ module type DOMAIN = sig
   val join : cell -> cell -> cell
   val equal : cell -> cell -> bool
   val input : ctx -> input -> float -> float -> cell
+  val mark : ctx -> int
+  val rewind : ctx -> int -> unit
 
   val transfer :
     ctx ->
@@ -61,11 +63,27 @@ module type DOMAIN = sig
     ctx -> cell array -> Instr.t -> (Finding.severity * string * string) list
 end
 
-(* fixpoint rounds run by every analysis, process-wide: an atomic, so it
-   stays exact under the domain pool *)
+(* fixpoint rounds run by every analysis, process-wide, and how many of
+   them evaluated the whole loop body: atomics, so they stay exact under
+   the domain pool *)
 let rounds = Atomic.make 0
+let full = Atomic.make 0
 let fixpoint_rounds () = Atomic.get rounds
-let reset_fixpoint_rounds () = Atomic.set rounds 0
+let full_rounds () = Atomic.get full
+
+let reset_fixpoint_rounds () =
+  Atomic.set rounds 0;
+  Atomic.set full 0
+
+(* The operands the driver reads as data when it evaluates [i]: [Const],
+   [Input], [Load] and [Fused] read none (a load's address is not data),
+   [Store] reads only its value, every other op all of its operands (a
+   phi: its initial value and the carried [next]). *)
+let data_operands (i : Instr.t) =
+  match i.Instr.op with
+  | Op.Const _ | Op.Input _ | Op.Load _ | Op.Fused _ -> []
+  | Op.Store _ -> Option.to_list (List.nth_opt i.Instr.args 1)
+  | _ -> i.Instr.args
 
 module Make (D : DOMAIN) = struct
   let cell_top = D.to_cell D.top
@@ -87,50 +105,33 @@ module Make (D : DOMAIN) = struct
     in
     go e
 
-  (* One abstract iteration of the loop body.  [phi_value] supplies the
-     value a phi observes this iteration. *)
-  let eval_body cx (body : Instr.t array) ~lookup_stream ~lookup_scalar
-      ~phi_value =
-    let count = Array.length body in
-    let values = Array.make count D.top in
-    let value id = if id >= 0 && id < count then values.(id) else D.top in
-    Array.iter
-      (fun (i : Instr.t) ->
-        let arg k =
-          match List.nth_opt i.Instr.args k with Some a -> value a | None -> D.top
-        in
-        values.(i.Instr.id) <-
-          (match i.Instr.op with
-          | Op.Const c -> D.const c
-          | Op.Input s -> lookup_scalar s
-          | Op.Phi -> phi_value i.Instr.id (arg 0)
-          | Op.Load s -> lookup_stream s
-          | Op.Store _ -> arg 1
-          | Op.Br -> arg 0
-          | Op.Fused _ -> D.top
-          | _ -> D.transfer cx ~body ~value i ~arg))
-      body;
-    values
+  (* One instruction of one abstract iteration.  [value id] is an earlier
+     instruction's value this iteration ({!D.top} before it is evaluated);
+     [phi_value] supplies the value a phi observes. *)
+  let eval_instr cx body ~lookup_stream ~lookup_scalar ~phi_value ~value
+      (i : Instr.t) =
+    let arg k =
+      match List.nth_opt i.Instr.args k with Some a -> value a | None -> D.top
+    in
+    match i.Instr.op with
+    | Op.Const c -> D.const c
+    | Op.Input s -> lookup_scalar s
+    | Op.Phi -> phi_value i.Instr.id (arg 0)
+    | Op.Load s -> lookup_stream s
+    | Op.Store _ -> arg 1
+    | Op.Br -> arg 0
+    | Op.Fused _ -> D.top
+    | _ -> D.transfer cx ~body ~value i ~arg
 
-  (* Does any instruction the driver evaluates read the loop-control
-     skeleton as data?  [eval_body] decides what is read: [Const], [Input],
-     [Load] and [Fused] read no operands (a load's address is not data),
-     [Store] reads only its value, every other op reads all of its
-     operands.  Exports read their instruction.  The skeleton's own
-     instructions may read one another. *)
+  (* Does any instruction read the loop-control skeleton as data
+     ([data_operands]), or any export name a skeleton cell?  The skeleton's
+     own instructions may read one another. *)
   let reads_skeleton ~body ~skeleton (loop : Kernel.loop) =
     let in_skeleton id = List.mem id skeleton in
     Array.exists
       (fun (i : Instr.t) ->
         (not (in_skeleton i.Instr.id))
-        &&
-        match i.Instr.op with
-        | Op.Const _ | Op.Input _ | Op.Load _ | Op.Fused _ -> false
-        | Op.Store _ -> (
-            match List.nth_opt i.Instr.args 1 with
-            | Some v -> in_skeleton v
-            | None -> false)
-        | _ -> List.exists in_skeleton i.Instr.args)
+        && List.exists in_skeleton (data_operands i))
       body
     || List.exists (fun (_, id) -> in_skeleton id) loop.Kernel.exports
 
@@ -155,7 +156,35 @@ module Make (D : DOMAIN) = struct
      from checks, and stores and exports are data.  Affine symbols never
      cross loops (loops hand over cells), so allocating fewer of them
      shifts no later loop's arithmetic.  A coupled loop keeps the test over
-     every cell and so runs to the cap. *)
+     every cell and so runs to the cap.
+
+     Cone rounds.  A reduction still walks to the cap, but after a round
+     or two only its accumulator moves.  After each full round the driver
+     takes the cone: the non-skeleton phis whose cells changed, closed
+     forward over [data_operands] (an instruction reading a cone member
+     joins it, and so does a phi whose carried [next] is in it).  When
+     every watched cell that changed lies in the cone, later rounds
+     evaluate the cone alone, in body order, reuse the last full round's
+     values for everything else, and join and test stability over the
+     cone.  Exactness: an instruction outside the cone reads no cone
+     member, so its value is a function of cells that did not change (a
+     changed watched cell outside the cone would have blocked the switch)
+     and of fixed inputs; the capped walk would recompute the same value,
+     and joining it into its cell again changes nothing.  Skeleton values
+     freeze, but in a decoupled loop no data reads them; in a coupled one
+     the induction phi changes outside the cone, so it never switches.
+     Round counts are unchanged: a cone round is a round.
+
+     Symbol order.  The order of noise-symbol ids reaches the arithmetic
+     ([Affine] sums term magnitudes in id order), and a reused value holds
+     the ids the last full round gave it.  A full round records the
+     allocator mark before each instruction; a cone round rewinds to the
+     recorded mark before evaluating that instruction, so every symbol it
+     allocates sits in the same order against the reused ones as in a full
+     round.  Guard: if a cone instruction allocates past its recorded
+     block (a max that stops being dominated as the sum grows), its ids
+     would collide with the next instruction's, so the round is redone in
+     full and becomes the new reference. *)
   let analyze_loop cx ~streams ~scalars ~body ~skeleton (loop : Kernel.loop) =
     let count = Array.length body in
     let scalars = ref scalars in
@@ -197,28 +226,105 @@ module Make (D : DOMAIN) = struct
         in
         D.of_cell cx (D.join (D.to_cell init) (D.join s.(id) carried))
     in
-    let watched =
-      let coupled = reads_skeleton ~body ~skeleton loop in
-      List.init count Fun.id
-      |> List.filter (fun id -> coupled || not (List.mem id skeleton))
-      |> Array.of_list
+    let eval = eval_instr cx body ~lookup_stream ~lookup_scalar ~phi_value in
+    let in_skeleton = Array.init count (fun id -> List.mem id skeleton) in
+    let coupled = reads_skeleton ~body ~skeleton loop in
+    let watched id = coupled || not in_skeleton.(id) in
+    (* [marks.(id)]: the allocator mark before instruction [id] in the last
+       full round; [marks.(count)]: after the round *)
+    let marks = Array.make (count + 1) 0 in
+    let full_round () =
+      let values = Array.make count D.top in
+      let value id = if id >= 0 && id < count then values.(id) else D.top in
+      Array.iter
+        (fun (i : Instr.t) ->
+          marks.(i.Instr.id) <- D.mark cx;
+          values.(i.Instr.id) <- eval ~value i)
+        body;
+      marks.(count) <- D.mark cx;
+      values
     in
-    let iters = ref 0 in
+    (* evaluate [cone] (ascending ids) into the last full round's [values];
+       false when the guard trips.  Either way the allocator ends where that
+       round left it. *)
+    let cone_round values cone =
+      let next = ref 0 in
+      let value id = if id >= 0 && id < !next then values.(id) else D.top in
+      let fits =
+        Array.for_all
+          (fun id ->
+            next := id;
+            D.rewind cx marks.(id);
+            values.(id) <- eval ~value body.(id);
+            D.mark cx <= marks.(id + 1))
+          cone
+      in
+      D.rewind cx marks.(count);
+      fits
+    in
+    (* the cone of a full round's [moved] cells, if it holds all of them *)
+    let cone_of moved =
+      let inc =
+        Array.mapi
+          (fun id (i : Instr.t) ->
+            match i.Instr.op with
+            | Op.Phi -> moved.(id) && not in_skeleton.(id)
+            | _ -> false)
+          body
+      in
+      let grew = ref true in
+      while !grew do
+        grew := false;
+        Array.iter
+          (fun (i : Instr.t) ->
+            let id = i.Instr.id in
+            if
+              (not inc.(id))
+              && List.exists (fun a -> a >= 0 && a < count && inc.(a)) (data_operands i)
+            then begin
+              inc.(id) <- true;
+              grew := true
+            end)
+          body
+      done;
+      if Array.exists2 (fun m c -> m && not c) moved inc then None
+      else Some (Array.of_list (List.filter (fun id -> inc.(id)) (List.init count Fun.id)))
+    in
+    let values = ref [||] in
+    let cone = ref None in
+    let iters = ref 0 and fulls = ref 0 in
     let stable = ref false in
     while (not !stable) && !iters <= trip_max do
-      let values = eval_body cx body ~lookup_stream ~lookup_scalar ~phi_value in
-      let joined =
-        if !first then Array.map D.to_cell values
-        else Array.mapi (fun i v -> D.join !state.(i) (D.to_cell v)) values
-      in
-      stable :=
-        (not !first)
-        && Array.for_all (fun id -> D.equal !state.(id) joined.(id)) watched;
-      first := false;
-      state := joined;
-      incr iters
+      match !cone with
+      (* a cone round, unless the guard trips and a full round redoes it *)
+      | Some c when cone_round !values c ->
+          let s = !state in
+          stable := true;
+          Array.iter
+            (fun id ->
+              let j = D.join s.(id) (D.to_cell !values.(id)) in
+              if watched id && not (D.equal s.(id) j) then stable := false;
+              s.(id) <- j)
+            c;
+          incr iters
+      | _ ->
+          let v = full_round () in
+          (if !first then state := Array.map D.to_cell v
+           else
+             let joined = Array.mapi (fun id x -> D.join !state.(id) (D.to_cell x)) v in
+             let moved =
+               Array.mapi (fun id c -> watched id && not (D.equal !state.(id) c)) joined
+             in
+             stable := not (Array.exists Fun.id moved);
+             cone := if !stable then None else cone_of moved;
+             state := joined);
+          first := false;
+          values := v;
+          incr iters;
+          incr fulls
     done;
     ignore (Atomic.fetch_and_add rounds !iters);
+    ignore (Atomic.fetch_and_add full !fulls);
     let cells = !state in
     (* record stores and exports for downstream loops *)
     Array.iter

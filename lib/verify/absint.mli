@@ -6,11 +6,22 @@
     {!Picachu_numerics.Numfmt} format); the fixpoint algorithm lives here,
     apart from the transfer rules: the trip-count seed of the loop-control
     skeleton, the between-loop scalar glue, stream and scalar lookup, phi
-    joins, the trip-bounded accumulating-join fixpoint (ended early, and
-    exactly, once a data path that never reads the loop-control skeleton
-    stops changing), store and export recording, the fold over a kernel's
-    loops, and the walk that turns per-instruction checks into
-    {!Finding.t} values.
+    joins, the trip-bounded accumulating-join fixpoint, store and export
+    recording, the fold over a kernel's loops, and the walk that turns
+    per-instruction checks into {!Finding.t} values.
+
+    Two exact shortcuts keep the fixpoint cheap; both leave every
+    non-skeleton cell bit-identical to the walk to the trip cap.
+    - The walk ends once a data path that never reads the loop-control
+      skeleton stops changing.
+    - A reduction still walks to the cap, but once only its accumulator
+      moves, each round evaluates just the accumulator's cone (the changed
+      phis and what reads them) and reuses the last full round's values
+      for the rest, which the capped walk would reproduce.  To keep the
+      noise-symbol order the arithmetic depends on, each cone instruction
+      allocates from the mark it allocated from in that full round; one
+      that would allocate more (a max that stops being dominated) forces
+      a full round instead.
 
     Inputs are fixed, not configured: every input stream element and every
     scalar live-in lies in [[-2, 2]] (the repository's standard test
@@ -30,7 +41,12 @@ val fixpoint_rounds : unit -> int
     the domain pool; attributing rounds to one analysis is the caller's
     business (reset, run, read). *)
 
+val full_rounds : unit -> int
+(** How many of those rounds evaluated the whole loop body rather than
+    only an accumulator's cone. *)
+
 val reset_fixpoint_rounds : unit -> unit
+(** Zero both counters. *)
 
 val report :
   Finding.severity ->
@@ -63,10 +79,18 @@ module type DOMAIN = sig
   val to_cell : value -> cell
   val of_cell : ctx -> cell -> value
   val join : cell -> cell -> cell
+
   val equal : cell -> cell -> bool
+  (** Exact equality: equal cells must give equal results downstream. *)
 
   val input : ctx -> input -> float -> float -> cell
   (** The cell of an input known to lie in [[lo, hi]]. *)
+
+  val mark : ctx -> int
+  (** The symbol allocator's position; allocation only moves it up. *)
+
+  val rewind : ctx -> int -> unit
+  (** Reset the allocator to an earlier {!mark}. *)
 
   val transfer :
     ctx ->
@@ -78,7 +102,9 @@ module type DOMAIN = sig
   (** Transfer rule of a data op.  [value id] is an earlier instruction's
       value this iteration, [arg k] the instruction's [k]-th operand; both
       are {!top} when out of range.  Never called on [Const], [Input],
-      [Phi], [Load], [Store], [Br] or [Fused], which the driver evaluates. *)
+      [Phi], [Load], [Store], [Br] or [Fused], which the driver evaluates.
+      [value] may reach only operands and what they read in turn, and the
+      result may depend on symbol ids only through their order. *)
 
   val check :
     ctx ->

@@ -19,6 +19,9 @@ let fresh_sym cx =
   cx.next <- i + 1;
   i
 
+let mark cx = cx.next
+let rewind cx m = cx.next <- m
+
 let no_terms : (int * float) array = [||]
 let const v = { c = v; terms = no_terms; rad = 0.0 }
 let top = { c = 0.0; terms = no_terms; rad = infinity }

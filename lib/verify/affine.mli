@@ -22,6 +22,15 @@ type ctx
 
 val ctx : unit -> ctx
 
+val mark : ctx -> int
+(** The allocator's position: the id the next fresh symbol gets.  Symbols
+    are allocated in increasing id order, and only the order of ids
+    matters to the arithmetic. *)
+
+val rewind : ctx -> int -> unit
+(** [rewind cx m] makes [m] the next fresh id.  Sound only while the ids
+    handed out after the rewind are held by no live form they may meet. *)
+
 val const : float -> t
 val top : t
 (** The unbounded form ([rad = ∞]). *)

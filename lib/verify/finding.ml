@@ -60,5 +60,3 @@ let compare a b =
 
 let sort fs = List.sort compare fs
 let errors fs = List.filter (fun f -> f.severity = Error) fs
-let has_code code fs = List.exists (fun f -> f.code = code) fs
-let codes fs = List.sort_uniq Stdlib.compare (List.map (fun f -> f.code) fs)

@@ -37,9 +37,6 @@ val make :
 (** [make ~loop:"softmax.2" ~node:4 Schedule_check Error ~code:"timing" fmt ...]
     builds one finding with a printf-style message. *)
 
-val severity_name : severity -> string
-val pass_name : pass -> string
-
 val compare : t -> t -> int
 (** Deterministic total order: severity (errors first), then code, then
     location, then pass and message. *)
@@ -54,7 +51,3 @@ val to_string : t -> string
 val errors : t list -> t list
 (** The Error-severity subset — what gates compilation and the lint CLI's
     exit code. *)
-
-val has_code : string -> t list -> bool
-val codes : t list -> string list
-(** Distinct codes present, sorted. *)

@@ -321,6 +321,8 @@ module Run = Absint.Make (struct
         let mx = Numfmt.max_value fmt in
         { lo = Float.max (lo -. q) (-.mx); hi = Float.min (hi +. q) mx; err = 0.0 }
 
+  let mark { cx; _ } = Affine.mark cx
+  let rewind { cx; _ } = Affine.rewind cx
   let transfer = transfer
   let check = check
 end)

@@ -157,6 +157,9 @@ let test_eval_op_edges () =
       ("shexp 1 by 2.5 (rounds to 3)", Op.Shift_exp, [ 1.0; 2.5 ], 8.0);
       ("shexp 3 by -2", Op.Shift_exp, [ 3.0; -2.0 ], 3.0 /. 4.0);
       ("shexp 1 by -2.5 (rounds to -3)", Op.Shift_exp, [ 1.0; -2.5 ], 1.0 /. 8.0);
+      ("shexp 1 by nan", Op.Shift_exp, [ 1.0; Float.nan ], Float.nan);
+      ("shexp 1 by 1e30 saturates", Op.Shift_exp, [ 1.0; 1e30 ], Float.infinity);
+      ("shexp 1 by -1e30 underflows", Op.Shift_exp, [ 1.0; -1e30 ], 0.0);
       ("fp2fx.i -1.25", Op.Fp2fx_int, [ -1.25 ], -2.0);
       ("fp2fx.f -1.25", Op.Fp2fx_frac, [ -1.25 ], 0.75);
       ("fp2fx.i 1e30", Op.Fp2fx_int, [ 1e30 ], 1e30);

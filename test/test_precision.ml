@@ -151,8 +151,10 @@ let test_rope_fits_narrower_than_intervals () =
   let fmt = Numfmt.fixed ~total_bits:12 ~frac_bits:8 in
   let r = Precision.analyze ~fmt k in
   Alcotest.(check bool) "precision proves q4.8 (no overflow finding)" false
-    (Finding.has_code "prec-overflow" r.Precision.findings
-    || Finding.has_code "prec-unbounded" r.Precision.findings);
+    (List.exists
+       (fun (f : Finding.t) ->
+         f.Finding.code = "prec-overflow" || f.Finding.code = "prec-unbounded")
+       r.Precision.findings);
   Alcotest.(check bool) "finite proven bound" true
     (Float.is_finite r.Precision.bound)
 
@@ -375,6 +377,55 @@ let test_reduction_walks_to_cap () =
         (rounds_under fmt (prefix 2) - rounds_under fmt (prefix 1)))
     Numfmt.catalogue
 
+(* (rounds, full-body rounds) of the [n]th loop (1-based) of [k] under
+   [fmt]: analysing the first [n] loops less analysing the first [n - 1] *)
+let loop_rounds fmt (k : Kernel.t) n =
+  let run m =
+    Absint.reset_fixpoint_rounds ();
+    ignore
+      (Precision.analyze ~fmt
+         { k with Kernel.loops = List.filteri (fun i _ -> i < m) k.Kernel.loops });
+    (Absint.fixpoint_rounds (), Absint.full_rounds ())
+  in
+  let r1, f1 = run n and r0, f0 = run (n - 1) in
+  (r1 - r0, f1 - f0)
+
+let test_reduction_cone_rounds () =
+  (* the reductions still walk all 1025 rounds, but from the third on only
+     the accumulator's cone is evaluated: two full-body rounds per format *)
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun (name, n) ->
+          let k = List.find (fun k -> k.Kernel.name = name) (Kernels.all variant) in
+          List.iter
+            (fun fmt ->
+              let rounds, full = loop_rounds fmt k n in
+              let what =
+                Printf.sprintf "%s %s.%d under %s" (Kernels.variant_name variant)
+                  name n (Numfmt.name fmt)
+              in
+              Alcotest.(check int) (what ^ " rounds") 1025 rounds;
+              if full > 2 then
+                Alcotest.failf "%s: %d full-body rounds, at most 2 expected" what full)
+            Numfmt.catalogue)
+        [ ("softmax", 2); ("layernorm", 1); ("rmsnorm", 1) ])
+    [ Kernels.picachu; Kernels.picachu_nli ]
+
+let test_cone_guard_fires () =
+  (* [max acc 100] stops being dominated mid-walk and allocates a symbol it
+     did not allocate in the reference round: the guard redoes that round
+     in full, and the cone resumes *)
+  let k = Kernel_text.of_string Test_verify.dominated_max_text in
+  List.iter
+    (fun fmt ->
+      let rounds, full = loop_rounds fmt k 1 in
+      let what = Printf.sprintf "dommax.1 under %s" (Numfmt.name fmt) in
+      Alcotest.(check int) (what ^ " rounds") 1025 rounds;
+      if full <= 2 || full > 4 then
+        Alcotest.failf "%s: %d full-body rounds, expected 3 or 4" what full)
+    Numfmt.catalogue
+
 (* y[i] = max(i, 1000): a data op reads the induction phi and stores the
    result.  Its cell sits at [1000, 1000] until the phi passes 1000, so a
    stopping test that ignored the skeleton here would end the walk at
@@ -491,6 +542,10 @@ let suite =
           test_elementwise_loops_settle;
         Alcotest.test_case "reduction walks to the cap" `Quick
           test_reduction_walks_to_cap;
+        Alcotest.test_case "reductions run two full rounds" `Quick
+          test_reduction_cone_rounds;
+        Alcotest.test_case "cone guard redoes a round in full" `Quick
+          test_cone_guard_fires;
         Alcotest.test_case "coupled loop walks to the cap" `Quick
           test_coupled_loop_walks_to_cap;
         soundness_at_pool 1;
