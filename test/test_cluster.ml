@@ -1,5 +1,6 @@
 (* Cluster-serving suite: the event-queue ordering contract (qcheck oracle),
    the PR 5 golden-trace replay through a 1-replica fault-free cluster,
+   a defended-cluster golden (8 replicas, mixed faults, hedging firing),
    pool-size and repeat determinism at every fault profile, the chaos
    acceptance scenario (defenses on >= 0.99 availability, defenses off
    measurably lower), the availability accounting identity as a property,
@@ -119,6 +120,45 @@ let test_golden_replay () =
   Alcotest.(check bool) "identity" true (Cluster.accounting_ok r);
   Alcotest.(check string) "pinned PR 5 digest" "16d32789d5caa77bf3e6f2892fe7a3e9"
     (cluster_digest r)
+
+(* the serve-cluster shape with every defense on: 8 replicas behind p2c,
+   mixed faults, llama2-7b through the robust cost source.  300 requests at
+   2 rps is long enough for hedging to arm and fire, so this pins the
+   hedge delay's p95 as well as the defense-free replay above *)
+let defended_golden_report () =
+  let cfg =
+    Cluster.default_config ~replicas:8 ~router:Cluster.Power_of_two ~slots:8 ~seed:3
+      ~profile:(Cluster.profile_mixed ~seed:3 ~mttf:60.0 ~mttr:6.0 ())
+      ~defenses:Cluster.default_defenses ()
+  in
+  Cluster.serve cfg (Simulator.default_config ()) Mz.llama2_7b
+    (Scheduler.default_trace ~seed:3 ~rps:2.0 ~requests:300 ())
+
+let defended_digest (r : Cluster.report) =
+  let c = r.Cluster.counters in
+  let pct (p : Scheduler.pct) =
+    Printf.sprintf "%Lx:%Lx:%Lx" (Int64.bits_of_float p.Scheduler.p50)
+      (Int64.bits_of_float p.Scheduler.p95) (Int64.bits_of_float p.Scheduler.p99)
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "|"
+          [
+            cluster_digest r;
+            Printf.sprintf "a%d d%d f%d" r.Cluster.answered r.Cluster.dropped r.Cluster.failed;
+            Printf.sprintf "%d %d %d %d %d %d %d %d %d %d %d" c.Cluster.crashes c.hangs
+              c.slowdowns c.requeued c.retries c.timeouts c.hedges c.hedge_wins
+              c.breaker_trips c.probes c.dispatches;
+            pct r.Cluster.ttft;
+            pct r.Cluster.latency;
+          ]))
+
+let test_golden_defended () =
+  let r = defended_golden_report () in
+  Alcotest.(check bool) "identity" true (Cluster.accounting_ok r);
+  Alcotest.(check bool) "hedging fired" true (r.Cluster.counters.Cluster.hedges > 0);
+  Alcotest.(check string) "pinned defended digest" "4bc4eeddcc0352e77f57b55bd80f6446"
+    (defended_digest r)
 
 (* ------------------------------------------- determinism across profiles *)
 
@@ -338,6 +378,7 @@ let suite =
         Alcotest.test_case "event queue stable ties" `Quick test_event_queue_stable_ties;
         qtest prop_event_queue_matches_sorted_oracle;
         Alcotest.test_case "golden replay" `Quick test_golden_replay;
+        Alcotest.test_case "golden defended" `Quick test_golden_defended;
         Alcotest.test_case "pool-invariant every profile" `Quick
           test_pool_invariant_every_profile;
         Alcotest.test_case "chaos defended vs undefended" `Quick
