@@ -175,38 +175,6 @@ let bench_tests =
       (Staged.stage
          (let k = Kernels.gelu Kernels.picachu in
           fun () -> ignore (Compiler.select_format ~budget:1e-2 k)));
-    (* serve: the fault-free cluster path — 8 replicas behind the
-       power-of-two router, so this times the event queue + routing
-       machinery on top of the per-replica step model (the cost source is
-       built once; the single-replica path is the e2e serve-single job) *)
-    Test.make ~name:"serve:cluster-8x-p2c"
-      (Staged.stage
-         (let cost =
-            Scheduler.robust_source (Simulator.default_config ()) Mz.llama2_7b
-          in
-          let trace =
-            Scheduler.trace (Scheduler.default_trace ~seed:3 ~rps:8.0 ~requests:24 ())
-          in
-          let cfg =
-            Cluster.default_config ~replicas:8 ~router:Cluster.Power_of_two ~slots:4 ()
-          in
-          fun () -> ignore (Cluster.run cfg ~cost trace)));
-    (* serve: the chaos path — crashes plus the full defense stack
-       (timeouts, retries, breakers, hedging) dominate the event count *)
-    Test.make ~name:"serve:cluster-chaos"
-      (Staged.stage
-         (let cost =
-            Scheduler.robust_source (Simulator.default_config ()) Mz.llama2_7b
-          in
-          let trace =
-            Scheduler.trace (Scheduler.default_trace ~seed:3 ~rps:8.0 ~requests:24 ())
-          in
-          let cfg =
-            Cluster.default_config ~replicas:3 ~slots:4
-              ~profile:(Cluster.profile_crash ~seed:3 ~mttf:10.0 ~mttr:3.0 ())
-              ()
-          in
-          fun () -> ignore (Cluster.run cfg ~cost trace)));
   ]
 
 (* machine-readable perf trajectory: name -> ns/run, diffable across PRs *)

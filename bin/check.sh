@@ -165,4 +165,17 @@ if echo "$chaos_out" | grep -q "breaker-trips=0 "; then
   echo "chaos smoke: no breaker trips under a crash-heavy profile"; exit 1
 fi
 
+echo "== cluster scaling gate =="
+# a 20k-request trace through the serve-cluster shape (8 replicas, p2c,
+# mixed faults, every defense on) must finish well inside 30 s: the hedge
+# p95 is read from a sorted buffer that grows by one insertion per
+# completion, so the run is near-linear in trace length (measured: 0.41 s
+# wall on a 2-core host).  Re-sorting every past latency on each arrival
+# took 15.6 s at 8k requests on that host, ~100 s extrapolated to 20k
+scale_out="$(timeout 30 dune exec bin/picachu_cli.exe -- cluster llama2-7b --replicas 8 --router p2c --fault-profile mixed --mttf 60 --mttr 6 --rps 2 --requests 20000 --seed 1)" || {
+  echo "cluster scaling gate: 20k-request run failed or exceeded 30 s"; exit 1; }
+echo "$scale_out"
+echo "$scale_out" | grep -q "(identity ok)" || {
+  echo "cluster scaling gate: accounting identity violated"; exit 1; }
+
 echo "== check.sh: all green =="

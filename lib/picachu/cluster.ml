@@ -24,6 +24,15 @@
    Every arrival sharing one instant queues before any idle replica is
    kicked — admit before pop, so ties shed load against the full queue.
 
+   Hedge delay: the p95 of every latency completed so far.  The latencies
+   live in a growable float array kept sorted under Float.compare, so a
+   completion costs one binary search and one Array.blit (insertion after
+   equal keys), and an arrival reads the p95 from two cells with
+   Stats.percentile_sorted — nothing is copied or sorted per arrival, and
+   the run is near-linear in trace length.  Latencies are finite and never
+   -0.0, so equal keys are equal bit for bit and the buffer holds exactly
+   what a fresh sort of the same sample would.
+
    Determinism: every stream is seeded (arrival trace, per-replica failure
    renewal processes, front-end jitter), the event queue breaks time ties
    on push order, and all arithmetic is sequential — traces are
@@ -270,12 +279,29 @@ let run cfg ~(cost : Traffic.cost_source) arrivals =
   (* NaN compares false everywhere, so it would quietly switch these off *)
   if not (cfg.profile.mttf_s > 0.0) then
     invalid_arg "Cluster.run: mttf must be positive (infinity disables faults)";
-  if not (cfg.defenses.timeout_s > 0.0) then
+  let d = cfg.defenses in
+  if not (d.timeout_s > 0.0) then
     invalid_arg "Cluster.run: timeout must be positive (infinity disables it)";
+  (* a zero health interval re-arms at the same instant forever, and a NaN
+     interval or cooldown never re-admits a replica, failing its requests *)
+  if not (d.health_interval_s > 0.0) then
+    invalid_arg "Cluster.run: health interval must be positive (infinity disables it)";
+  if not (d.breaker_cooldown_s >= 0.0) then
+    invalid_arg "Cluster.run: breaker cooldown must be non-negative";
+  (* a NaN backoff (or zero times infinite jitter) is a NaN event time, an
+     infinite one never fires, and a negative one lands in the past *)
+  if not (Float.is_finite d.backoff_s && d.backoff_s >= 0.0) then
+    invalid_arg "Cluster.run: backoff must be finite and non-negative";
+  if not (Float.is_finite d.backoff_jitter && d.backoff_jitter >= 0.0) then
+    invalid_arg "Cluster.run: backoff jitter must be finite and non-negative";
+  if d.hedge_min_samples < 1 then
+    invalid_arg "Cluster.run: hedge_min_samples must be positive";
+  if d.max_retries < 0 then invalid_arg "Cluster.run: max_retries must be non-negative";
+  if d.breaker_threshold < 1 then
+    invalid_arg "Cluster.run: breaker_threshold must be positive";
   (match cfg.policy with
   | Traffic.Static b when b < 1 -> invalid_arg "Cluster.run: batch size must be positive"
   | _ -> ());
-  let d = cfg.defenses in
   let arrivals =
     Array.of_list
       (List.sort
@@ -346,7 +372,27 @@ let run cfg ~(cost : Traffic.cost_source) arrivals =
   let hedges = ref 0 and hedge_wins = ref 0 in
   let breaker_trips = ref 0 and probes = ref 0 and dispatches = ref 0 in
   let completions = ref [] in
-  let latencies = ref [] and n_latencies = ref 0 in
+  (* the hedge's latency sample, kept sorted under Float.compare in the
+     prefix [0, !n_latencies) of a buffer that doubles when full *)
+  let latencies = ref (Array.make 64 0.0) and n_latencies = ref 0 in
+  let record_latency x =
+    let n = !n_latencies in
+    if n = Array.length !latencies then begin
+      let grown = Array.make (2 * n) 0.0 in
+      Array.blit !latencies 0 grown 0 n;
+      latencies := grown
+    end;
+    let a = !latencies in
+    (* binary search for the first key above x, so x lands after its ties *)
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Float.compare a.(mid) x <= 0 then lo := mid + 1 else hi := mid
+    done;
+    Array.blit a !lo a (!lo + 1) (n - !lo);
+    a.(!lo) <- x;
+    n_latencies := n + 1
+  in
   (* ---------------------------------------------------------- the breaker *)
   let trip r t =
     if d.breaker then begin
@@ -612,10 +658,7 @@ let run cfg ~(cost : Traffic.cost_source) arrivals =
       incr answered;
       incr resolved;
       r.served <- r.served + 1;
-      if d.hedge then begin
-        latencies := (t -. l.al_arr.Traffic.at) :: !latencies;
-        incr n_latencies
-      end;
+      if d.hedge then record_latency (t -. l.al_arr.Traffic.at);
       if rq.hedge_attempt >= 0 && l.al_attempt = rq.hedge_attempt then incr hedge_wins;
       rq.outstanding <- List.remove_assoc l.al_attempt rq.outstanding;
       List.iter (fun (a, _) -> cancel_attempt l.al_req a) rq.outstanding;
@@ -624,11 +667,11 @@ let run cfg ~(cost : Traffic.cost_source) arrivals =
     else rq.outstanding <- List.remove_assoc l.al_attempt rq.outstanding
   in
   (* hedge delay: the p95 of completed latencies so far — adaptive, and
-     arm only once enough samples exist to make the tail meaningful *)
+     arm only once enough samples exist to make the tail meaningful; the
+     sample is already sorted, so this reads two cells *)
   let hedge_delay () =
     if !n_latencies < d.hedge_min_samples then None
-    else
-      Some (Picachu_tensor.Stats.percentile (Array.of_list !latencies) 95.0)
+    else Some (Picachu_tensor.Stats.percentile_sorted !latencies ~len:!n_latencies 95.0)
   in
   let initial_dispatch t req_i =
     (* admission control is per replica: the router's pick is final, and a

@@ -164,10 +164,15 @@ val accounting_ok : report -> bool
 
 val run : config -> cost:Traffic.cost_source -> Traffic.arrival list -> report
 (** Simulate a trace through the cluster.  Raises [Invalid_argument] on
-    non-positive knobs (a NaN [mttf_s] or [timeout_s] included; [infinity]
-    is legal and means "off"), a malformed request, or a non-finite arrival
-    time; never raises on overload —
-    shed and lost load is reported, not thrown. *)
+    non-positive knobs (a NaN [mttf_s], [timeout_s] or [health_interval_s]
+    included; [infinity] is legal and means "off"), a [hedge_min_samples]
+    or [breaker_threshold] below 1, a negative [max_retries], a NaN or
+    negative [breaker_cooldown_s], a [backoff_s] or [backoff_jitter] that
+    is negative or not finite, a malformed request, or a non-finite arrival
+    time; never raises on overload — shed and lost load is reported, not
+    thrown.  The hedge delay is kept incrementally (a sorted latency buffer,
+    one insertion per completion), so a run is near-linear in trace
+    length. *)
 
 val serve :
   ?budget:int ->

@@ -99,10 +99,12 @@ let percentiles f completions =
   | [] -> { p50 = 0.0; p95 = 0.0; p99 = 0.0 }
   | _ ->
       let xs = Array.of_list (List.map f completions) in
+      Array.sort Float.compare xs;
+      let len = Array.length xs in
       {
-        p50 = Stats.percentile xs 50.0;
-        p95 = Stats.percentile xs 95.0;
-        p99 = Stats.percentile xs 99.0;
+        p50 = Stats.percentile_sorted xs ~len 50.0;
+        p95 = Stats.percentile_sorted xs ~len 95.0;
+        p99 = Stats.percentile_sorted xs ~len 99.0;
       }
 
 let tier_tally completions =

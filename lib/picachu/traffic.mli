@@ -68,8 +68,11 @@ type completion = {
 type pct = { p50 : float; p95 : float; p99 : float }
 
 val percentiles : (completion -> float) -> completion list -> pct
-(** p50/p95/p99 of a per-completion metric ({!Picachu_tensor.Stats.percentile}
-    with monomorphic [Float.compare]); all-zero on an empty list. *)
+(** p50/p95/p99 of a per-completion metric; all-zero on an empty list.  The
+    values are sorted once under monomorphic [Float.compare] and all three
+    are read from that one array with
+    {!Picachu_tensor.Stats.percentile_sorted}, so each equals
+    {!Picachu_tensor.Stats.percentile} of the values bit for bit. *)
 
 val tier_tally : completion list -> (Serving.tier * int) list
 (** Completions per serving tier, omitting tiers that served nothing. *)

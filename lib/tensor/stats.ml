@@ -53,14 +53,19 @@ let geomean xs =
       in
       exp (acc /. float_of_int (List.length xs))
 
+let percentile_sorted sorted ~len p =
+  if len < 1 || len > Array.length sorted then
+    invalid_arg "Stats.percentile_sorted: len outside [1, length]";
+  if not (p >= 0.0 && p <= 100.0) then invalid_arg "Stats.percentile: p out of range";
+  let pos = p /. 100.0 *. float_of_int (len - 1) in
+  let lo = int_of_float (Float.floor pos) in
+  let hi = Stdlib.min (len - 1) (lo + 1) in
+  let frac = pos -. float_of_int lo in
+  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+
 let percentile a p =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.percentile: empty";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   let sorted = Array.copy a in
   Array.sort Float.compare sorted;
-  let pos = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor pos) in
-  let hi = Stdlib.min (n - 1) (lo + 1) in
-  let frac = pos -. float_of_int lo in
-  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+  percentile_sorted sorted ~len:n p

@@ -26,4 +26,15 @@ val geomean : float list -> float
 val percentile : float array -> float -> float
 (** [percentile a p] for [p] in [0, 100]; linear interpolation, copies and
     sorts with [Float.compare] (total order: NaNs sort below every other
-    value, and no polymorphic-compare cost on hot metric paths). *)
+    value, and no polymorphic-compare cost on hot metric paths), then reads
+    the copy with {!percentile_sorted}. *)
+
+val percentile_sorted : float array -> len:int -> float -> float
+(** [percentile_sorted a ~len p] is the percentile of the prefix
+    [a.(0 .. len - 1)], which the caller keeps sorted under [Float.compare];
+    it neither copies nor sorts, so a caller that reads several percentiles,
+    or one that grows a sorted buffer, pays for the sort once.  Same
+    interpolation as {!percentile}, which is this formula over a sorted copy:
+    on the same values the two return the same bits.  Raises
+    [Invalid_argument] when [len] is outside [1, Array.length a] or [p] is
+    outside [0, 100]. *)

@@ -288,7 +288,9 @@ let test_retry_budget_exhaustion () =
 
 (* A NaN compares false everywhere: as an arrival time it was never
    admitted (the run spun forever), and as [mttf_s] / [timeout_s] it
-   quietly switched faults or deadlines off.  [infinity] stays legal. *)
+   quietly switched faults or deadlines off.  [infinity] stays legal.  The
+   remaining defense knobs are checked up front too, each with its own
+   [Cluster.run] message. *)
 let test_nonfinite_knobs_rejected () =
   let cfg = Cluster.default_config ~replicas:2 () in
   let run ?(cfg = cfg) trace = Cluster.run cfg ~cost:(flat_cost ()) trace in
@@ -322,7 +324,60 @@ let test_nonfinite_knobs_rejected () =
       Cluster.defenses = (with_timeout Float.infinity).Cluster.defenses }
   in
   let r = run ~cfg:off (List.init 4 (fun i -> arrival i 0.0 8 2)) in
-  Alcotest.(check int) "infinity means off: all answered" 4 r.Cluster.answered
+  Alcotest.(check int) "infinity means off: all answered" 4 r.Cluster.answered;
+  (* every other defense knob: one row per value that used to hang the run,
+     raise another module's error, fail requests silently, or schedule a
+     retry in the past *)
+  let dflt = Cluster.default_defenses in
+  List.iter
+    (fun (name, defenses, msg) ->
+      raises name msg (fun () -> run ~cfg:{ cfg with Cluster.defenses } []))
+    [
+      ("hedge_min_samples 0", { dflt with Cluster.hedge_min_samples = 0 },
+       "hedge_min_samples must be positive");
+      ("hedge_min_samples -1", { dflt with Cluster.hedge_min_samples = -1 },
+       "hedge_min_samples must be positive");
+      ("max_retries -1", { dflt with Cluster.max_retries = -1 },
+       "max_retries must be non-negative");
+      ("breaker_threshold 0", { dflt with Cluster.breaker_threshold = 0 },
+       "breaker_threshold must be positive");
+      ("backoff nan", { dflt with Cluster.backoff_s = Float.nan },
+       "backoff must be finite and non-negative");
+      ("backoff inf", { dflt with Cluster.backoff_s = Float.infinity },
+       "backoff must be finite and non-negative");
+      ("backoff -0.1", { dflt with Cluster.backoff_s = -0.1 },
+       "backoff must be finite and non-negative");
+      ("backoff jitter -2", { dflt with Cluster.backoff_jitter = -2.0 },
+       "backoff jitter must be finite and non-negative");
+      ("backoff jitter nan", { dflt with Cluster.backoff_jitter = Float.nan },
+       "backoff jitter must be finite and non-negative");
+      ("backoff jitter inf", { dflt with Cluster.backoff_jitter = Float.infinity },
+       "backoff jitter must be finite and non-negative");
+      ("breaker cooldown nan", { dflt with Cluster.breaker_cooldown_s = Float.nan },
+       "breaker cooldown must be non-negative");
+      ("breaker cooldown -1", { dflt with Cluster.breaker_cooldown_s = -1.0 },
+       "breaker cooldown must be non-negative");
+      ("health interval 0", { dflt with Cluster.health_interval_s = 0.0 },
+       "health interval must be positive (infinity disables it)");
+      ("health interval nan", { dflt with Cluster.health_interval_s = Float.nan },
+       "health interval must be positive (infinity disables it)");
+      ("health interval -1", { dflt with Cluster.health_interval_s = -1.0 },
+       "health interval must be positive (infinity disables it)");
+    ];
+  (* zero and infinity are legal where they mean "at once" and "never" *)
+  let edge =
+    { dflt with
+      Cluster.max_retries = 0;
+      backoff_s = 0.0;
+      backoff_jitter = 0.0;
+      breaker_cooldown_s = Float.infinity;
+      health_interval_s = Float.infinity;
+      hedge_min_samples = 1 }
+  in
+  let r =
+    run ~cfg:{ cfg with Cluster.defenses = edge } (List.init 4 (fun i -> arrival i 0.0 8 2))
+  in
+  Alcotest.(check int) "edge values accepted: all answered" 4 r.Cluster.answered
 
 (* ----------------------------------------------------------------- routers *)
 

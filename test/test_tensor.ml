@@ -315,6 +315,49 @@ let prop_percentile_monotone =
       let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
       Stats.percentile a lo <= Stats.percentile a hi +. 1e-9)
 
+let prop_percentile_sorted_prefix =
+  (* the incremental reader the cluster's hedge relies on: insert each value
+     after its ties into a sorted buffer with spare capacity (NaN-filled, so
+     reading past the prefix would show), and at every prefix the sorted
+     read must be Stats.percentile of the raw prefix to the last bit.
+     Values come from a small grid with 0.0 so ties are forced *)
+  QCheck.Test.make ~name:"percentile_sorted on a sorted prefix = percentile" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 40) (int_range 0 6))
+    (fun cells ->
+      let xs = Array.of_list (List.map (fun c -> float_of_int c *. 0.375) cells) in
+      let buf = Array.make (Array.length xs + 3) Float.nan in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let ok = ref true in
+      Array.iteri
+        (fun k x ->
+          let i = ref k in
+          while !i > 0 && Float.compare buf.(!i - 1) x > 0 do
+            buf.(!i) <- buf.(!i - 1);
+            decr i
+          done;
+          buf.(!i) <- x;
+          let raw = Array.sub xs 0 (k + 1) in
+          List.iter
+            (fun p ->
+              if not (same (Stats.percentile_sorted buf ~len:(k + 1) p) (Stats.percentile raw p))
+              then ok := false)
+            [ 0.0; 50.0; 95.0; 99.0; 100.0 ])
+        xs;
+      !ok)
+
+let test_percentile_sorted_len () =
+  let a = [| 1.0; 2.0; 3.0 |] in
+  check_float "len 2 reads the prefix" 2.0 (Stats.percentile_sorted a ~len:2 100.0);
+  let len_outside =
+    Invalid_argument "Stats.percentile_sorted: len outside [1, length]"
+  in
+  Alcotest.check_raises "len 0" len_outside (fun () ->
+      ignore (Stats.percentile_sorted a ~len:0 50.0));
+  Alcotest.check_raises "len past the array" len_outside (fun () ->
+      ignore (Stats.percentile_sorted a ~len:4 50.0));
+  Alcotest.check_raises "p nan" (Invalid_argument "Stats.percentile: p out of range")
+    (fun () -> ignore (Stats.percentile_sorted a ~len:3 Float.nan))
+
 let suite =
   [
     ( "rng",
@@ -362,5 +405,7 @@ let suite =
         Alcotest.test_case "percentile endpoints small" `Quick
           test_percentile_endpoints_small;
         qtest prop_percentile_monotone;
+        qtest prop_percentile_sorted_prefix;
+        Alcotest.test_case "percentile_sorted len" `Quick test_percentile_sorted_len;
       ] );
   ]
